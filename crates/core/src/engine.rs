@@ -772,8 +772,8 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
 
     /// [`DiceEngine::process_window`] with the candidate scan already
     /// resolved: the caller ran this window's state set through a batched
-    /// scan (see [`RoutedScanIndex::candidates_batch_into`]
-    /// (crate::RoutedScanIndex::candidates_batch_into)) and hands the result
+    /// scan (see [`SlicedScanIndex::candidates_batch_into`]
+    /// (crate::SlicedScanIndex::candidates_batch_into)) and hands the result
     /// in, so the engine skips its own per-window scan. Everything else —
     /// binarization, the checks, identification — is bit-identical to the
     /// unbatched path.
@@ -1720,7 +1720,7 @@ mod tests {
             Some(reports.len() as u64)
         );
         // Scan stats: every correlation violation scanned rows (this small
-        // model routes row-major, so block counters stay zero), and the
+        // model builds no planes, so block counters stay zero), and the
         // snapshot names the dispatched backend.
         assert!(snapshot.counter("dice_engine_scan_rows_total").unwrap() > 0);
         assert_eq!(snapshot.counter("dice_engine_scan_blocks_total"), Some(0));

@@ -55,8 +55,8 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the bit-sliced scan kernels (`scan_sliced`)
-// are the single sanctioned exception, opting in at module level for the
+// `deny` rather than `forbid`: the AVX2 scan kernel (`scan_sliced`) is the
+// single sanctioned exception, opting in at module level for the
 // runtime-dispatched `std::arch` SIMD intrinsics.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -106,10 +106,10 @@ pub use model_io::{
     read_model, read_model_unverified, write_model, ModelIoError, MODEL_FORMAT_VERSION, MODEL_MAGIC,
 };
 pub use partition::{Partition, PartitionedEngine, PartitionedModel};
-pub use scan::{ScanIndex, ScanProfile};
-pub use scan_routed::{RoutedScanIndex, SCAN_CROSSOVER_GROUPS};
+pub use scan::ScanProfile;
+pub use scan_routed::RoutedScanIndex;
 pub use scan_sliced::{
-    ScanBackend, SlicedScanIndex, BLOCK_LANES, MAX_SLICED_DISTANCE, SCAN_BACKEND_ENV,
+    ScanBackend, SlicedScanIndex, BLOCK_LANES, MAX_SLICED_DISTANCE, SCAN_CROSSOVER_GROUPS,
 };
 pub use stats::{ExactSum, MeanAccumulator, RunningMean, WindowStats};
 pub use trace::{

@@ -1,51 +1,48 @@
-//! A packed candidate-scan index over the group table.
+//! Bookkeeping for the candidate scan.
 //!
 //! The correlation check is DICE's per-window hot path: every window without
 //! an exact group match is compared against *all* groups by Hamming distance
-//! (Figure 3.5). [`GroupTable`] stores each group as its own heap-allocated
-//! [`BitSet`], so the naive scan chases one pointer per group. [`ScanIndex`]
-//! is a structure-of-arrays mirror of the table built for that scan:
-//!
-//! * all group state sets live in one contiguous `Vec<u64>` with a fixed row
-//!   stride (`words_per_row`), so the scan is a linear walk over memory the
-//!   prefetcher can follow;
-//! * each group's popcount is cached, and `|popcount(q) − popcount(g)|` is a
-//!   lower bound on `hamming(q, g)`, so rows outside the distance threshold
-//!   are pruned with one integer compare before any XOR work;
-//! * [`ScanIndex::candidates_into`] / [`ScanIndex::nearest_into`] fill a
-//!   caller-owned scratch buffer, so a steady-state engine performs zero
-//!   allocations per window.
-//!
-//! The index is derived state: it returns exactly what the naive
-//! [`GroupTable::candidates`] / [`GroupTable::nearest`] scans return (a
-//! property-tested equivalence), and is rebuilt whenever the model's group
-//! table changes — see [`DiceModel::rebuild_index`](crate::DiceModel).
-
-use crate::bitset::BitSet;
-use crate::groups::{Candidate, GroupTable};
-
-use dice_types::GroupId;
-
-const WORD_BITS: usize = u64::BITS as usize;
+//! (Figure 3.5). [`SlicedScanIndex`](crate::SlicedScanIndex) serves that scan;
+//! each of its entry points returns a [`ScanProfile`] saying what it did, so
+//! the engine can report prefilter effectiveness as telemetry. The tests here
+//! pin the index's small-table route, the row-by-row popcount-band scan, to
+//! the naive [`GroupTable`](crate::GroupTable) scans.
 
 /// What one candidate scan did: how many group rows it visited and how many
 /// the popcount prefilter rejected before any XOR work.
 ///
-/// Returned by [`ScanIndex::candidates_into`] / [`ScanIndex::nearest_into`]
-/// so the engine can report prefilter effectiveness as telemetry;
-/// `pruned / rows` is the prefilter hit rate.
+/// `pruned / rows` is the prefilter hit rate. For a candidate scan, `pruned`
+/// counts the rows whose popcount lies more than the threshold away from
+/// the query's; for a nearest-group scan, the rows outside the popcount
+/// buckets the walk visited.
+///
+/// # Example
+///
+/// ```
+/// use dice_core::{BitSet, GroupTable, ScanProfile, SlicedScanIndex};
+///
+/// let mut table = GroupTable::new(5);
+/// table.observe(&BitSet::from_indices(5, []));
+/// table.observe(&BitSet::from_indices(5, [0, 1, 2, 3, 4]));
+/// let index = SlicedScanIndex::build(&table);
+///
+/// // Popcounts 0 and 5 are both more than 1 away from the query's 2.
+/// let mut out = Vec::new();
+/// let profile = index.candidates_into(&BitSet::from_indices(5, [0, 1]), 1, &mut out);
+/// assert!(out.is_empty());
+/// assert_eq!(profile, ScanProfile { rows: 2, pruned: 2, ..ScanProfile::default() });
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanProfile {
     /// Group rows considered (the whole index, for a full scan).
     pub rows: u32,
-    /// Rows rejected by the popcount lower bound alone — per-row for this
-    /// index, whole bucket ranges for
-    /// [`SlicedScanIndex`](crate::SlicedScanIndex).
+    /// Rows rejected by the popcount lower bound alone, skipped as whole
+    /// bucket ranges.
     pub pruned: u32,
-    /// Bit-sliced blocks visited (always 0 for this row-major index).
+    /// Bit-sliced blocks visited (always 0 for a table too small for planes).
     pub blocks: u32,
     /// Blocks abandoned early once every lane saturated past the threshold
-    /// (always 0 for this row-major index).
+    /// (always 0 for a table too small for planes).
     pub early_stops: u32,
 }
 
@@ -60,195 +57,13 @@ impl ScanProfile {
     }
 }
 
-/// A packed, popcount-prefiltered mirror of a [`GroupTable`] for candidate
-/// scans.
-///
-/// Row `i` of the index is group `i` of the table it was built from.
-///
-/// # Example
-///
-/// ```
-/// use dice_core::{BitSet, GroupTable, ScanIndex};
-///
-/// let mut table = GroupTable::new(5);
-/// table.observe(&BitSet::from_indices(5, [0, 1]));
-/// table.observe(&BitSet::from_indices(5, [3, 4]));
-/// let index = ScanIndex::build(&table);
-///
-/// let query = BitSet::from_indices(5, [0]);
-/// let hits = index.candidates(&query, 1);
-/// assert_eq!(hits.len(), 1);
-/// assert_eq!(hits[0].distance, 1);
-/// assert_eq!(index.candidates(&query, 1), table.candidates(&query, 1));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScanIndex {
-    num_bits: usize,
-    words_per_row: usize,
-    /// All group state sets, row-major: row `i` occupies
-    /// `words[i * words_per_row .. (i + 1) * words_per_row]`.
-    words: Vec<u64>,
-    /// `popcounts[i]` = number of set bits of group `i`.
-    popcounts: Vec<u32>,
-}
-
-impl ScanIndex {
-    /// Builds the index from a group table. Row `i` mirrors group `i`.
-    pub fn build(table: &GroupTable) -> Self {
-        let num_bits = table.num_bits();
-        let words_per_row = num_bits.div_ceil(WORD_BITS);
-        let mut words = Vec::with_capacity(table.len() * words_per_row);
-        let mut popcounts = Vec::with_capacity(table.len());
-        for (_, state) in table.iter() {
-            words.extend_from_slice(state.as_words());
-            popcounts.push(state.count_ones());
-        }
-        ScanIndex {
-            num_bits,
-            words_per_row,
-            words,
-            popcounts,
-        }
-    }
-
-    /// Number of indexed groups.
-    pub fn len(&self) -> usize {
-        self.popcounts.len()
-    }
-
-    /// Whether the index holds no groups.
-    pub fn is_empty(&self) -> bool {
-        self.popcounts.is_empty()
-    }
-
-    /// Width of the indexed state sets, in bits.
-    pub fn num_bits(&self) -> usize {
-        self.num_bits
-    }
-
-    /// Fills `out` with every group within Hamming distance `max_distance`
-    /// of `state` (inclusive), sorted by ascending distance then group id —
-    /// exactly [`GroupTable::candidates`], without allocating when `out` has
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width does not match the index.
-    pub fn candidates_into(
-        &self,
-        state: &BitSet,
-        max_distance: u32,
-        out: &mut Vec<Candidate>,
-    ) -> ScanProfile {
-        assert_eq!(state.len(), self.num_bits, "query width mismatch");
-        out.clear();
-        let query = state.as_words();
-        let query_pc = state.count_ones();
-        let mut pruned = 0u32;
-        for (i, &pc) in self.popcounts.iter().enumerate() {
-            // |popcount(q) - popcount(g)| lower-bounds hamming(q, g): prune
-            // before touching the row's words.
-            if query_pc.abs_diff(pc) > max_distance {
-                pruned += 1;
-                continue;
-            }
-            let row = &self.words[i * self.words_per_row..(i + 1) * self.words_per_row];
-            let mut distance = 0u32;
-            let mut within = true;
-            for (a, b) in query.iter().zip(row) {
-                distance += (a ^ b).count_ones();
-                if distance > max_distance {
-                    within = false;
-                    break;
-                }
-            }
-            if within {
-                out.push(Candidate {
-                    group: GroupId::new(i as u32),
-                    distance,
-                });
-            }
-        }
-        // (distance, group) keys are unique, so unstable sorting yields the
-        // same order as the table's stable sort.
-        out.sort_unstable_by_key(|c| (c.distance, c.group));
-        ScanProfile {
-            rows: self.popcounts.len() as u32,
-            pruned,
-            ..ScanProfile::default()
-        }
-    }
-
-    /// Fills `out` with the nearest group(s) to `state`: minimal distance,
-    /// all ties, ascending by group id — exactly [`GroupTable::nearest`],
-    /// without allocating when `out` has capacity.
-    ///
-    /// Leaves `out` empty only for an empty index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width does not match the index.
-    pub fn nearest_into(&self, state: &BitSet, out: &mut Vec<Candidate>) -> ScanProfile {
-        assert_eq!(state.len(), self.num_bits, "query width mismatch");
-        out.clear();
-        let query = state.as_words();
-        let query_pc = state.count_ones();
-        let mut best = u32::MAX;
-        let mut pruned = 0u32;
-        for (i, &pc) in self.popcounts.iter().enumerate() {
-            // A row whose popcount gap already exceeds the current best
-            // cannot even tie it.
-            if query_pc.abs_diff(pc) > best {
-                pruned += 1;
-                continue;
-            }
-            let row = &self.words[i * self.words_per_row..(i + 1) * self.words_per_row];
-            let mut distance = 0u32;
-            let mut beaten = false;
-            for (a, b) in query.iter().zip(row) {
-                distance += (a ^ b).count_ones();
-                if distance > best {
-                    beaten = true;
-                    break;
-                }
-            }
-            if beaten {
-                continue;
-            }
-            if distance < best {
-                best = distance;
-                out.clear();
-            }
-            out.push(Candidate {
-                group: GroupId::new(i as u32),
-                distance,
-            });
-        }
-        ScanProfile {
-            rows: self.popcounts.len() as u32,
-            pruned,
-            ..ScanProfile::default()
-        }
-    }
-
-    /// Allocating convenience wrapper over [`ScanIndex::candidates_into`].
-    pub fn candidates(&self, state: &BitSet, max_distance: u32) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let _ = self.candidates_into(state, max_distance, &mut out);
-        out
-    }
-
-    /// Allocating convenience wrapper over [`ScanIndex::nearest_into`].
-    pub fn nearest(&self, state: &BitSet) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let _ = self.nearest_into(state, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitSet;
+    use crate::groups::GroupTable;
+    use crate::scan_sliced::SlicedScanIndex;
+    use dice_types::GroupId;
 
     fn table() -> GroupTable {
         let mut t = GroupTable::new(5);
@@ -261,16 +76,17 @@ mod tests {
     #[test]
     fn build_mirrors_table_rows() {
         let t = table();
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         assert_eq!(idx.len(), 3);
         assert!(!idx.is_empty());
         assert_eq!(idx.num_bits(), 5);
+        assert!(!idx.is_bitsliced());
     }
 
     #[test]
     fn candidates_match_naive_scan() {
         let t = table();
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         for max in 0..=5 {
             for query in [
                 BitSet::from_indices(5, [0, 1, 3]),
@@ -291,7 +107,7 @@ mod tests {
         let mut t = GroupTable::new(3);
         t.observe(&BitSet::from_indices(3, [0]));
         t.observe(&BitSet::from_indices(3, [1]));
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         // Query {2}: both groups tie at distance 2.
         let q = BitSet::from_indices(3, [2]);
         assert_eq!(idx.nearest(&q), t.nearest(&q));
@@ -300,7 +116,7 @@ mod tests {
 
     #[test]
     fn empty_index_yields_empty_results() {
-        let idx = ScanIndex::build(&GroupTable::new(4));
+        let idx = SlicedScanIndex::build(&GroupTable::new(4));
         assert!(idx.is_empty());
         assert!(idx.candidates(&BitSet::new(4), 4).is_empty());
         assert!(idx.nearest(&BitSet::new(4)).is_empty());
@@ -309,7 +125,7 @@ mod tests {
     #[test]
     fn scratch_buffers_are_reused_without_reallocation() {
         let t = table();
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         let mut out = Vec::with_capacity(t.len());
         let cap = out.capacity();
         let queries = [
@@ -332,7 +148,7 @@ mod tests {
         let mut t = GroupTable::new(5);
         t.observe(&BitSet::from_indices(5, []));
         t.observe(&BitSet::from_indices(5, [0, 1, 2, 3, 4]));
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         let q = BitSet::from_indices(5, [0, 1]);
         let mut out = Vec::new();
         let profile = idx.candidates_into(&q, 1, &mut out);
@@ -355,10 +171,18 @@ mod tests {
                 ..ScanProfile::default()
             }
         );
-        // nearest_into visits every row until a best distance is set; the
-        // empty-set row (distance 2) then prunes nothing further here.
+        // nearest_into walks buckets outward from popcount 2: the empty-set
+        // row (gap 2, distance 2) ends the walk before the popcount-5 row,
+        // which counts as pruned.
         let profile = idx.nearest_into(&q, &mut out);
-        assert_eq!(profile.rows, 2);
+        assert_eq!(
+            profile,
+            ScanProfile {
+                rows: 2,
+                pruned: 1,
+                ..ScanProfile::default()
+            }
+        );
         assert_eq!(out.len(), 1);
     }
 
@@ -368,7 +192,7 @@ mod tests {
         let mut t = GroupTable::new(5);
         t.observe(&BitSet::from_indices(5, []));
         t.observe(&BitSet::from_indices(5, [0, 1, 2, 3, 4]));
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         let q = BitSet::from_indices(5, [0, 1]);
         // d(G0)=2, d(G1)=3; threshold 2 keeps only G0.
         let c = idx.candidates(&q, 2);
@@ -382,7 +206,7 @@ mod tests {
         let mut t = GroupTable::new(130);
         t.observe(&BitSet::from_indices(130, [0, 64, 129]));
         t.observe(&BitSet::from_indices(130, [1, 65]));
-        let idx = ScanIndex::build(&t);
+        let idx = SlicedScanIndex::build(&t);
         let q = BitSet::from_indices(130, [0, 64]);
         assert_eq!(idx.candidates(&q, 130), t.candidates(&q, 130));
         assert_eq!(idx.nearest(&q), t.nearest(&q));
@@ -391,7 +215,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "query width mismatch")]
     fn width_mismatch_panics() {
-        let idx = ScanIndex::build(&table());
-        let _ = idx.candidates(&BitSet::new(4), 1);
+        let idx = SlicedScanIndex::build(&table());
+        let _ = idx.nearest(&BitSet::new(4));
     }
 }

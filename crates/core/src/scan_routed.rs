@@ -1,46 +1,13 @@
-//! Size-based routing between the row-major and bit-sliced scan indexes.
-//!
-//! The bit-sliced [`SlicedScanIndex`] wins decisively on large group tables
-//! (5–190× over the naive scan at 1k–100k groups, `BENCH_core.json`), but it
-//! pays a fixed per-query cost — bucket-range setup plus at least one full
-//! 256-lane block of plane passes — that a small table never amortizes: at
-//! 100 groups the row-major [`ScanIndex`] is ~2× faster than the sliced
-//! path. [`RoutedScanIndex`] is the model-facing index that picks the right
-//! structure at build time: tables below [`SCAN_CROSSOVER_GROUPS`] groups
-//! build only the packed row-major mirror, larger tables build only the
-//! bit-sliced planes, and every query method delegates to whichever one
-//! exists.
-//!
-//! Both structures return bit-identical candidate lists (a property-tested
-//! equivalence), so routing changes timings, never results. The
-//! [`ScanProfile`]s differ in bookkeeping as documented on each method:
-//! the row-major path reports per-row prefilter prunes and always-zero
-//! block counters.
+//! The `RoutedScanIndex` name, kept for callers written before
+//! [`SlicedScanIndex`] chose its own route by table size.
 
-use crate::bitset::BitSet;
-use crate::groups::{Candidate, GroupTable};
-use crate::scan::{ScanIndex, ScanProfile};
-use crate::scan_sliced::{ScanBackend, SlicedScanIndex};
+use crate::scan_sliced::SlicedScanIndex;
 
-/// Group-table sizes below this build the row-major [`ScanIndex`]; larger
-/// tables build the bit-sliced [`SlicedScanIndex`].
+/// Alias of [`SlicedScanIndex`] for callers that still use this name.
 ///
-/// Tuned on the `bench-json` synthetic workload (270-bit hh102 states,
-/// distance ≤ 3): one 256-lane block is the sliced path's minimum per-query
-/// work, so tables smaller than a block scan faster row-major, and the
-/// sliced cascade only pulls ahead once its bucket pruning earns its setup.
-/// Measured per-query times put the crossover between 100 groups (row-major
-/// ~1.9× faster) and 200 groups (bit-sliced ~1.1× faster); 160 splits the
-/// bracket. The chosen value is recorded in `BENCH_core.json`
-/// (`candidate_scan.crossover_groups`).
-pub const SCAN_CROSSOVER_GROUPS: usize = 160;
-
-/// A candidate-scan index that routes by table size: row-major below
-/// [`SCAN_CROSSOVER_GROUPS`] groups, bit-sliced at or above it.
-///
-/// This is the index a [`DiceModel`](crate::DiceModel) builds and the
-/// engine queries; both underlying structures return exactly what the naive
-/// [`GroupTable::candidates`] / [`GroupTable::nearest`] scans return.
+/// The index routes itself: tables below
+/// [`SCAN_CROSSOVER_GROUPS`](crate::SCAN_CROSSOVER_GROUPS) groups scan
+/// popcount bands row by row, larger tables build bit-sliced planes.
 ///
 /// # Example
 ///
@@ -51,273 +18,9 @@ pub const SCAN_CROSSOVER_GROUPS: usize = 160;
 /// table.observe(&BitSet::from_indices(5, [0, 1]));
 /// table.observe(&BitSet::from_indices(5, [3, 4]));
 /// let index = RoutedScanIndex::build(&table);
-/// assert!(!index.is_bitsliced()); // 2 groups route row-major
+/// assert!(!index.is_bitsliced()); // 2 groups scan row by row
 ///
 /// let query = BitSet::from_indices(5, [0]);
 /// assert_eq!(index.candidates(&query, 1), table.candidates(&query, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedScanIndex {
-    inner: RoutedInner,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RoutedInner {
-    /// Small table: packed row-major rows plus the backend the sliced path
-    /// *would* dispatch to (kept so telemetry reports one stable value per
-    /// process regardless of routing).
-    Rows {
-        index: ScanIndex,
-        backend: ScanBackend,
-    },
-    Sliced(SlicedScanIndex),
-}
-
-impl Default for RoutedScanIndex {
-    fn default() -> Self {
-        RoutedScanIndex {
-            inner: RoutedInner::Rows {
-                index: ScanIndex::default(),
-                backend: ScanBackend::default(),
-            },
-        }
-    }
-}
-
-impl RoutedScanIndex {
-    /// Builds the routed index with the runtime-detected SIMD backend.
-    pub fn build(table: &GroupTable) -> Self {
-        Self::with_backend(table, ScanBackend::detect())
-    }
-
-    /// Builds the routed index with an explicit backend (tests / CI
-    /// forcing); the backend only affects tables large enough to route to
-    /// the bit-sliced path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is not supported on this CPU.
-    pub fn with_backend(table: &GroupTable, backend: ScanBackend) -> Self {
-        assert!(
-            backend.is_supported(),
-            "scan backend {} not supported on this CPU",
-            backend.name()
-        );
-        let inner = if table.len() < SCAN_CROSSOVER_GROUPS {
-            RoutedInner::Rows {
-                index: ScanIndex::build(table),
-                backend,
-            }
-        } else {
-            RoutedInner::Sliced(SlicedScanIndex::with_backend(table, backend))
-        };
-        RoutedScanIndex { inner }
-    }
-
-    /// Number of indexed groups.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            RoutedInner::Rows { index, .. } => index.len(),
-            RoutedInner::Sliced(sliced) => sliced.len(),
-        }
-    }
-
-    /// Whether the index holds no groups.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Width of the indexed state sets, in bits.
-    pub fn num_bits(&self) -> usize {
-        match &self.inner {
-            RoutedInner::Rows { index, .. } => index.num_bits(),
-            RoutedInner::Sliced(sliced) => sliced.num_bits(),
-        }
-    }
-
-    /// The SIMD backend this process's sliced scans dispatch to. Reported
-    /// even when the table routed row-major, so the `dice_engine_scan_backend`
-    /// gauge describes the hardware path consistently across model sizes.
-    pub fn backend(&self) -> ScanBackend {
-        match &self.inner {
-            RoutedInner::Rows { backend, .. } => *backend,
-            RoutedInner::Sliced(sliced) => sliced.backend(),
-        }
-    }
-
-    /// Whether queries run through the bit-sliced planes (`false` means the
-    /// table routed to the row-major index).
-    pub fn is_bitsliced(&self) -> bool {
-        matches!(self.inner, RoutedInner::Sliced(_))
-    }
-
-    /// Fills `out` with every group within Hamming distance `max_distance`
-    /// of `state` (inclusive), sorted by ascending distance then group id.
-    ///
-    /// The profile's `blocks`/`early_stops` are zero on the row-major route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width does not match the index.
-    pub fn candidates_into(
-        &self,
-        state: &BitSet,
-        max_distance: u32,
-        out: &mut Vec<Candidate>,
-    ) -> ScanProfile {
-        match &self.inner {
-            RoutedInner::Rows { index, .. } => index.candidates_into(state, max_distance, out),
-            RoutedInner::Sliced(sliced) => sliced.candidates_into(state, max_distance, out),
-        }
-    }
-
-    /// Fills `out` with the nearest group(s) to `state`: minimal distance,
-    /// all ties, ascending by group id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query width does not match the index.
-    pub fn nearest_into(&self, state: &BitSet, out: &mut Vec<Candidate>) -> ScanProfile {
-        match &self.inner {
-            RoutedInner::Rows { index, .. } => index.nearest_into(state, out),
-            RoutedInner::Sliced(sliced) => sliced.nearest_into(state, out),
-        }
-    }
-
-    /// Batched [`RoutedScanIndex::candidates_into`] over a slice of queries:
-    /// block-major plane sharing on the sliced route, a per-query loop on
-    /// the row-major route (small tables have no plane passes to share).
-    /// Returns the element-wise sum of per-query profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query width does not match the index.
-    pub fn candidates_batch_into(
-        &self,
-        queries: &[&BitSet],
-        max_distance: u32,
-        out: &mut Vec<Vec<Candidate>>,
-    ) -> ScanProfile {
-        match &self.inner {
-            RoutedInner::Rows { index, .. } => {
-                out.resize_with(queries.len(), Vec::new);
-                out.truncate(queries.len());
-                let mut profile = ScanProfile::default();
-                for (query, slots) in queries.iter().zip(out.iter_mut()) {
-                    profile.absorb(index.candidates_into(query, max_distance, slots));
-                }
-                profile
-            }
-            RoutedInner::Sliced(sliced) => sliced.candidates_batch_into(queries, max_distance, out),
-        }
-    }
-
-    /// Batched [`RoutedScanIndex::nearest_into`] over a slice of queries.
-    /// Returns the element-wise sum of per-query profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query width does not match the index.
-    pub fn nearest_batch_into(
-        &self,
-        queries: &[&BitSet],
-        out: &mut Vec<Vec<Candidate>>,
-    ) -> ScanProfile {
-        match &self.inner {
-            RoutedInner::Rows { index, .. } => {
-                out.resize_with(queries.len(), Vec::new);
-                out.truncate(queries.len());
-                let mut profile = ScanProfile::default();
-                for (query, slots) in queries.iter().zip(out.iter_mut()) {
-                    profile.absorb(index.nearest_into(query, slots));
-                }
-                profile
-            }
-            RoutedInner::Sliced(sliced) => sliced.nearest_batch_into(queries, out),
-        }
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`RoutedScanIndex::candidates_into`].
-    pub fn candidates(&self, state: &BitSet, max_distance: u32) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let _ = self.candidates_into(state, max_distance, &mut out);
-        out
-    }
-
-    /// Allocating convenience wrapper over [`RoutedScanIndex::nearest_into`].
-    pub fn nearest(&self, state: &BitSet) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let _ = self.nearest_into(state, &mut out);
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn table_of(groups: usize, num_bits: usize) -> GroupTable {
-        let mut table = GroupTable::new(num_bits);
-        for i in 0..groups {
-            let bits = (0..num_bits).filter(|b| (i >> (b % 20)) & 1 == 1 || b % (i + 2) == 0);
-            table.observe(&BitSet::from_indices(num_bits, bits));
-        }
-        table
-    }
-
-    #[test]
-    fn small_tables_route_row_major_and_large_tables_bit_sliced() {
-        let small = RoutedScanIndex::build(&table_of(SCAN_CROSSOVER_GROUPS / 4, 64));
-        assert!(!small.is_bitsliced());
-        let large = RoutedScanIndex::build(&table_of(SCAN_CROSSOVER_GROUPS + 8, 64));
-        assert!(large.is_bitsliced());
-        assert_eq!(large.len(), SCAN_CROSSOVER_GROUPS + 8);
-    }
-
-    #[test]
-    fn both_routes_match_the_naive_scan() {
-        for groups in [SCAN_CROSSOVER_GROUPS / 4, SCAN_CROSSOVER_GROUPS + 8] {
-            let table = table_of(groups, 64);
-            let routed = RoutedScanIndex::build(&table);
-            let queries: Vec<BitSet> = (0..8)
-                .map(|q| BitSet::from_indices(64, (0..64).filter(move |b| (b + q) % 5 == 0)))
-                .collect();
-            for query in &queries {
-                assert_eq!(routed.candidates(query, 3), table.candidates(query, 3));
-                assert_eq!(routed.nearest(query), table.nearest(query));
-            }
-            let refs: Vec<&BitSet> = queries.iter().collect();
-            let mut batch = Vec::new();
-            let _ = routed.candidates_batch_into(&refs, 3, &mut batch);
-            for (query, got) in queries.iter().zip(&batch) {
-                assert_eq!(got, &table.candidates(query, 3));
-            }
-            let _ = routed.nearest_batch_into(&refs, &mut batch);
-            for (query, got) in queries.iter().zip(&batch) {
-                assert_eq!(got, &table.nearest(query));
-            }
-        }
-    }
-
-    #[test]
-    fn row_major_route_reports_the_process_backend() {
-        let routed = RoutedScanIndex::build(&table_of(4, 16));
-        assert_eq!(routed.backend(), ScanBackend::detect());
-    }
-
-    #[test]
-    fn batch_reuses_slots_without_stale_entries() {
-        let table = table_of(8, 32);
-        let routed = RoutedScanIndex::build(&table);
-        let q1 = BitSet::from_indices(32, [0, 5]);
-        let q2 = BitSet::from_indices(32, [1]);
-        let mut batch = Vec::new();
-        let _ = routed.candidates_batch_into(&[&q1, &q2], 32, &mut batch);
-        assert_eq!(batch.len(), 2);
-        // A smaller follow-up batch must truncate the slot vector.
-        let _ = routed.candidates_batch_into(&[&q2], 0, &mut batch);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0], table.candidates(&q2, 0));
-    }
-}
+pub type RoutedScanIndex = SlicedScanIndex;

@@ -1,19 +1,25 @@
-//! A bit-sliced, popcount-bucketed candidate-scan index with SIMD kernels.
+//! The candidate-scan index: popcount-sorted rows, plus bit-sliced SIMD
+//! planes for large tables.
 //!
-//! [`ScanIndex`](crate::ScanIndex) walks the group table row-major: one
-//! XOR+popcount chain per group, with a per-row popcount-prefilter branch.
-//! [`SlicedScanIndex`] turns both axes of that loop inside out:
+//! The correlation check compares every window without an exact group match
+//! against *all* groups by Hamming distance (Figure 3.5). [`GroupTable`]
+//! stores each group as its own heap-allocated [`BitSet`], so the naive scan
+//! chases one pointer per group. [`SlicedScanIndex`] is the structure built
+//! for that scan:
 //!
-//! * **Popcount-bucket cascade.** Rows are sorted by `(popcount, group id)`,
-//!   so the `|pc(q) − pc(g)| > maxDist` lower bound becomes two binary
-//!   searches that select one *contiguous* slot range instead of a
-//!   per-row branch. Everything outside the range is skipped wholesale.
-//! * **Bit-sliced planes.** Within blocks of [`BLOCK_LANES`] rows, the table
-//!   is transposed column-major: plane `i` of a block holds bit `i` of all
-//!   256 rows as four `u64` lane words. One 256-bit XOR against the
-//!   broadcast query bit compares the same bit position of 256 groups at
-//!   once, and per-lane distances accumulate in `K` vertical carry-save
-//!   counter planes (`2^K − 1 ≥ maxDist`), with a sticky saturation plane.
+//! * **Popcount bands.** Rows are packed row-major in `(popcount, group id)`
+//!   order, so the `|pc(q) − pc(g)| > maxDist` lower bound becomes two binary
+//!   searches that select one *contiguous* slot band instead of a per-row
+//!   branch. Everything outside the band is skipped wholesale. Tables below
+//!   [`SCAN_CROSSOVER_GROUPS`] groups scan the band row by row and build
+//!   nothing else.
+//! * **Bit-sliced planes** (tables of [`SCAN_CROSSOVER_GROUPS`] groups or
+//!   more). Within blocks of [`BLOCK_LANES`] rows, the table is transposed
+//!   column-major: plane `i` of a block holds bit `i` of all 256 rows as four
+//!   `u64` lane words. One 256-bit XOR against the broadcast query bit
+//!   compares the same bit position of 256 groups at once, and per-lane
+//!   distances accumulate in `K` vertical carry-save counter planes
+//!   (`2^K − 1 ≥ maxDist`), with a sticky saturation plane.
 //! * **Early abandon.** Once every lane of a block has saturated past
 //!   `maxDist` (checked every [`EARLY_CHECK_BITS`] planes) the remaining
 //!   planes of that block are skipped — with small thresholds most blocks
@@ -21,19 +27,23 @@
 //! * **Batched queries.** [`SlicedScanIndex::candidates_batch_into`] scans
 //!   blocks in the outer loop and queries in the inner loop, so one pass
 //!   over the plane data (kept cache-hot) serves a whole window batch.
+//! * **Nearest groups.** [`SlicedScanIndex::nearest_into`] walks the
+//!   popcount buckets outward from the query's popcount at every table size.
 //!
-//! Kernels exist for AVX2 and SSE2 (`std::arch`, runtime-detected) and as a
-//! portable four-sub-word scalar loop. All backends share the same plane
-//! layout, block width, and early-abandon cadence, so results *and*
-//! [`ScanProfile`] statistics are bit-identical across backends — the
-//! cross-backend proptests in `tests/properties.rs` assert exactly that.
-//! Results match the naive [`GroupTable::candidates`] /
-//! [`GroupTable::nearest`] scans byte for byte.
+//! The plane kernel exists for AVX2 (`std::arch`, runtime-detected) and as a
+//! portable loop, which the compiler vectorises for thresholds up to 7.
+//! Both read the same plane layout,
+//! block width, and early-abandon cadence, so results *and* [`ScanProfile`]
+//! statistics are bit-identical across backends — the cross-backend
+//! proptests in `tests/properties.rs` assert exactly that. Results match the
+//! naive [`GroupTable::candidates`] / [`GroupTable::nearest`] scans byte for
+//! byte. The index is derived state, rebuilt whenever the model's group
+//! table changes — see [`DiceModel::rebuild_index`](crate::DiceModel).
 
-// The AVX2/SSE2 kernels are the one place in dice-core that needs `unsafe`:
-// `#[target_feature]` functions may only be invoked once the matching CPU
+// The AVX2 kernel is the one place in dice-core that needs `unsafe`: a
+// `#[target_feature]` function may only be invoked once the matching CPU
 // feature has been verified at runtime (`ScanBackend::detect`), which the
-// compiler cannot prove. Each call site carries a SAFETY note tying it to
+// compiler cannot prove. The call site carries a SAFETY note tying it to
 // that detection.
 #![allow(unsafe_code)]
 
@@ -56,56 +66,42 @@ const LANE_WORDS: usize = 4;
 const EARLY_CHECK_BITS: usize = 32;
 
 /// Largest `max_distance` served by the bit-sliced kernels (six counter
-/// planes); beyond it [`SlicedScanIndex::candidates_into`] falls back to a
-/// row-major scan of the bucket range.
+/// planes); beyond it [`SlicedScanIndex::candidates_into`] scans the
+/// popcount band row by row.
 pub const MAX_SLICED_DISTANCE: u32 = 63;
 
-/// Environment variable that forces a scan backend (`scalar`, `sse2`,
-/// `avx2`); unsupported values fall back to runtime detection.
-pub const SCAN_BACKEND_ENV: &str = "DICE_SCAN_BACKEND";
-
-/// Which compare kernel a [`SlicedScanIndex`] dispatches to.
+/// Tables with at least this many groups build bit-sliced planes; smaller
+/// tables scan their popcount band row by row.
 ///
-/// All backends read the same plane layout and return bit-identical results;
-/// they differ only in how many lane words one instruction touches.
+/// One 256-lane block is the planes' minimum per-query work, so small tables
+/// scan faster row by row. The value was tuned on the `bench-json` synthetic
+/// workload (270-bit hh102 states, distance ≤ 3) against a row-major scan
+/// that visited every row; the band scan visits only the band and is faster
+/// still, so 160 is a conservative switch point. The value is recorded in
+/// `BENCH_core.json` (`candidate_scan.crossover_groups`).
+pub const SCAN_CROSSOVER_GROUPS: usize = 160;
+
+/// Which plane kernel a [`SlicedScanIndex`] dispatches to.
+///
+/// Both backends read the same plane layout and return bit-identical
+/// results; they differ only in how many lane words one instruction touches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScanBackend {
-    /// Portable four-sub-word `u64` loop; always available.
+    /// Portable `u64` loop over the four lane words; always available.
     #[default]
     Scalar,
-    /// 128-bit `std::arch` kernel (two lane words per op).
-    Sse2,
     /// 256-bit `std::arch` kernel (one block row per op).
     Avx2,
 }
 
 impl ScanBackend {
-    /// Picks the best backend: the [`SCAN_BACKEND_ENV`] override if set *and*
-    /// supported on this CPU, otherwise the widest runtime-detected feature.
+    /// The widest runtime-detected backend.
     pub fn detect() -> ScanBackend {
-        if let Ok(forced) = std::env::var(SCAN_BACKEND_ENV) {
-            let forced = match forced.to_ascii_lowercase().as_str() {
-                "scalar" => Some(ScanBackend::Scalar),
-                "sse2" => Some(ScanBackend::Sse2),
-                "avx2" => Some(ScanBackend::Avx2),
-                _ => None,
-            };
-            if let Some(backend) = forced {
-                if backend.is_supported() {
-                    return backend;
-                }
-            }
+        if ScanBackend::Avx2.is_supported() {
+            ScanBackend::Avx2
+        } else {
+            ScanBackend::Scalar
         }
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if is_x86_feature_detected!("avx2") {
-                return ScanBackend::Avx2;
-            }
-            if is_x86_feature_detected!("sse2") {
-                return ScanBackend::Sse2;
-            }
-        }
-        ScanBackend::Scalar
     }
 
     /// Whether this backend's CPU feature is available at runtime.
@@ -113,49 +109,45 @@ impl ScanBackend {
         match self {
             ScanBackend::Scalar => true,
             #[cfg(all(target_arch = "x86_64", not(miri)))]
-            ScanBackend::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
             ScanBackend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-            _ => false,
+            ScanBackend::Avx2 => false,
         }
     }
 
     /// Every backend supported on this CPU, widest last.
     pub fn available() -> Vec<ScanBackend> {
-        [ScanBackend::Scalar, ScanBackend::Sse2, ScanBackend::Avx2]
+        [ScanBackend::Scalar, ScanBackend::Avx2]
             .into_iter()
             .filter(|b| b.is_supported())
             .collect()
     }
 
-    /// Stable lowercase name (`scalar` / `sse2` / `avx2`), accepted back by
-    /// [`SCAN_BACKEND_ENV`].
+    /// Stable lowercase name (`scalar` / `avx2`).
     pub fn name(self) -> &'static str {
         match self {
             ScanBackend::Scalar => "scalar",
-            ScanBackend::Sse2 => "sse2",
             ScanBackend::Avx2 => "avx2",
         }
     }
 
-    /// Stable numeric encoding for telemetry gauges (0 scalar, 1 SSE2,
-    /// 2 AVX2).
+    /// Stable numeric encoding for telemetry gauges (0 scalar, 2 AVX2).
     pub fn gauge_value(self) -> i64 {
         match self {
             ScanBackend::Scalar => 0,
-            ScanBackend::Sse2 => 1,
             ScanBackend::Avx2 => 2,
         }
     }
 }
 
-/// A bit-sliced, popcount-bucketed mirror of a [`GroupTable`].
+/// A popcount-sorted mirror of a [`GroupTable`] for candidate scans, with
+/// bit-sliced planes once the table reaches [`SCAN_CROSSOVER_GROUPS`] groups.
 ///
-/// Drop-in for [`ScanIndex`](crate::ScanIndex) on the engine's hot path —
-/// same `candidates_into` / `nearest_into` contract, same naive-scan
-/// equivalence — plus the batched entry points. Derived state: rebuilt
-/// whenever the model's group table changes.
+/// This is the index a [`DiceModel`](crate::DiceModel) builds and the engine
+/// queries. Every entry point returns exactly what the naive
+/// [`GroupTable::candidates`] / [`GroupTable::nearest`] scans return, on
+/// either side of the crossover. Derived state: rebuilt whenever the model's
+/// group table changes.
 ///
 /// # Example
 ///
@@ -166,6 +158,7 @@ impl ScanBackend {
 /// table.observe(&BitSet::from_indices(5, [0, 1]));
 /// table.observe(&BitSet::from_indices(5, [3, 4]));
 /// let index = SlicedScanIndex::build(&table);
+/// assert!(!index.is_bitsliced()); // 2 groups scan their popcount band
 ///
 /// let query = BitSet::from_indices(5, [0]);
 /// assert_eq!(index.candidates(&query, 1), table.candidates(&query, 1));
@@ -179,12 +172,13 @@ pub struct SlicedScanIndex {
     /// `slot_to_group[slot]` = original group id of the row stored at
     /// `slot`; slots are sorted by `(popcount, group id)`.
     slot_to_group: Vec<u32>,
-    /// Popcount per slot, ascending — the bucket-cascade search key.
+    /// Popcount per slot, ascending — the band search key.
     popcounts: Vec<u32>,
-    /// Row-major packed rows in slot order, for the nearest cascade and the
-    /// `max_distance > MAX_SLICED_DISTANCE` fallback.
+    /// Row-major packed rows in slot order, for the band scan and the
+    /// nearest walk.
     row_words: Vec<u64>,
-    /// Column-major bit planes: block `b`, plane `i`, lane word `k` lives at
+    /// Column-major bit planes, empty below [`SCAN_CROSSOVER_GROUPS`] rows:
+    /// block `b`, plane `i`, lane word `k` lives at
     /// `planes[(b * num_bits + i) * LANE_WORDS + k]`.
     planes: Vec<u64>,
 }
@@ -195,7 +189,8 @@ impl SlicedScanIndex {
         Self::with_backend(table, ScanBackend::detect())
     }
 
-    /// Builds the index with an explicit backend (tests / CI forcing).
+    /// Builds the index with an explicit backend (tests forcing a kernel);
+    /// the backend only matters for tables large enough to build planes.
     ///
     /// # Panics
     ///
@@ -220,7 +215,11 @@ impl SlicedScanIndex {
         let mut slot_to_group = Vec::with_capacity(n);
         let mut popcounts = Vec::with_capacity(n);
         let mut row_words = Vec::with_capacity(n * words_per_row);
-        let num_blocks = n.div_ceil(BLOCK_LANES);
+        let num_blocks = if n >= SCAN_CROSSOVER_GROUPS {
+            n.div_ceil(BLOCK_LANES)
+        } else {
+            0
+        };
         let mut planes = vec![0u64; num_blocks * num_bits * LANE_WORDS];
         for (slot, &(pc, group)) in order.iter().enumerate() {
             slot_to_group.push(group);
@@ -231,6 +230,9 @@ impl SlicedScanIndex {
             let words = state.as_words();
             for k in 0..words_per_row {
                 row_words.push(words.get(k).copied().unwrap_or(0));
+            }
+            if num_blocks == 0 {
+                continue;
             }
             let block = slot / BLOCK_LANES;
             let lane = slot % BLOCK_LANES;
@@ -267,9 +269,24 @@ impl SlicedScanIndex {
         self.num_bits
     }
 
-    /// The kernel this index dispatches to.
+    /// The plane kernel this index dispatches to. Reported even when the
+    /// table built no planes, so the `dice_engine_scan_backend` gauge
+    /// describes the hardware path consistently across model sizes.
     pub fn backend(&self) -> ScanBackend {
         self.backend
+    }
+
+    /// Whether bit-sliced planes were built: the table has at least
+    /// [`SCAN_CROSSOVER_GROUPS`] groups. Otherwise candidate scans walk the
+    /// popcount band row by row.
+    pub fn is_bitsliced(&self) -> bool {
+        self.len() >= SCAN_CROSSOVER_GROUPS
+    }
+
+    /// Whether a candidate scan at `max_distance` runs the plane kernel
+    /// rather than the row-by-row band loop.
+    fn uses_planes(&self, max_distance: u32) -> bool {
+        self.is_bitsliced() && max_distance <= MAX_SLICED_DISTANCE
     }
 
     /// The contiguous slot range whose popcounts lie within `max_distance`
@@ -287,6 +304,9 @@ impl SlicedScanIndex {
     /// of `state` (inclusive), sorted by ascending distance then group id —
     /// exactly [`GroupTable::candidates`], without allocating when `out` has
     /// capacity.
+    ///
+    /// The profile's `pruned` counts the rows outside the popcount band;
+    /// `blocks` and `early_stops` stay zero unless the plane kernel ran.
     ///
     /// # Panics
     ///
@@ -326,9 +346,9 @@ impl SlicedScanIndex {
         if start >= end {
             return;
         }
-        if max_distance > MAX_SLICED_DISTANCE {
-            // Counter planes would outgrow the packed rows; scan the bucket
-            // range row-major instead.
+        if !self.uses_planes(max_distance) {
+            // Row by row over the band: small tables build no planes, and
+            // wide thresholds would outgrow the counter planes.
             let query = state.as_words();
             for slot in start..end {
                 let row = &self.row_words[slot * self.words_per_row..][..self.words_per_row];
@@ -391,21 +411,9 @@ impl SlicedScanIndex {
                 &mut sat,
             ),
             #[cfg(all(target_arch = "x86_64", not(miri)))]
-            // SAFETY: `self.backend` is only ever set to Sse2/Avx2 when
+            // SAFETY: `self.backend` is only ever set to Avx2 when
             // `ScanBackend::is_supported` confirmed the CPU feature at
             // runtime (enforced in `with_backend`).
-            ScanBackend::Sse2 => unsafe {
-                scan_block_sse2::<K>(
-                    planes,
-                    query,
-                    self.num_bits,
-                    &sat_init,
-                    &mut counters,
-                    &mut sat,
-                )
-            },
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            // SAFETY: as above — AVX2 was runtime-detected before dispatch.
             ScanBackend::Avx2 => unsafe {
                 scan_block_avx2::<K>(
                     planes,
@@ -417,7 +425,7 @@ impl SlicedScanIndex {
                 )
             },
             #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-            _ => unreachable!("non-scalar backend on unsupported target"),
+            ScanBackend::Avx2 => unreachable!("AVX2 backend on unsupported target"),
         };
         profile.blocks += 1;
         if early {
@@ -534,7 +542,8 @@ impl SlicedScanIndex {
     /// data serves every query in `queries`.
     ///
     /// Blocks are the outer loop and queries the inner loop, so each block's
-    /// planes stay cache-hot across the whole batch. `out` is resized to
+    /// planes stay cache-hot across the whole batch; without planes each
+    /// query scans its own popcount band. `out` is resized to
     /// `queries.len()`, reusing inner buffers. Returns the element-wise sum
     /// of the per-query profiles — identical to running the single-query
     /// entry point per query.
@@ -560,7 +569,7 @@ impl SlicedScanIndex {
         if n == 0 || queries.is_empty() {
             return profile;
         }
-        if max_distance > MAX_SLICED_DISTANCE {
+        if !self.uses_planes(max_distance) {
             for (query, slots) in queries.iter().zip(out.iter_mut()) {
                 self.candidates_append(query, max_distance, slots, &mut profile);
                 slots.sort_unstable_by_key(|c| (c.distance, c.group));
@@ -624,11 +633,7 @@ impl SlicedScanIndex {
         out.truncate(queries.len());
         let mut profile = ScanProfile::default();
         for (query, slots) in queries.iter().zip(out.iter_mut()) {
-            let p = self.nearest_into(query, slots);
-            profile.rows += p.rows;
-            profile.pruned += p.pruned;
-            profile.blocks += p.blocks;
-            profile.early_stops += p.early_stops;
+            profile.absorb(self.nearest_into(query, slots));
         }
         profile
     }
@@ -705,43 +710,13 @@ macro_rules! dispatch_counter_planes {
 use dispatch_counter_planes;
 
 /// Portable kernel: XOR-accumulates one block's bit planes into `K` vertical
-/// counters, four `u64` sub-words per step. Returns whether the block was
-/// abandoned early (every lane saturated past the threshold).
+/// counters. Returns whether the block was abandoned early (every lane
+/// saturated past the threshold).
+///
+/// Planes are taken in chunks of [`EARLY_CHECK_BITS`], one saturation poll
+/// per chunk, so the per-plane loop in [`accumulate_planes`] has no exit
+/// and the compiler can keep the lane arrays in vector registers.
 fn scan_block_scalar<const K: usize>(
-    planes: &[u64],
-    query: &[u64],
-    num_bits: usize,
-    sat_init: &[u64; LANE_WORDS],
-    counters: &mut [[u64; LANE_WORDS]; K],
-    sat: &mut [u64; LANE_WORDS],
-) -> bool {
-    *counters = [[0u64; LANE_WORDS]; K];
-    *sat = *sat_init;
-    for i in 0..num_bits {
-        let qbit = (query[i / WORD_BITS] >> (i % WORD_BITS)) & 1;
-        let qmask = 0u64.wrapping_sub(qbit);
-        let plane = &planes[i * LANE_WORDS..][..LANE_WORDS];
-        for k in 0..LANE_WORDS {
-            let mut carry = plane[k] ^ qmask;
-            for counter in counters.iter_mut() {
-                let t = counter[k] & carry;
-                counter[k] ^= carry;
-                carry = t;
-            }
-            sat[k] |= carry;
-        }
-        if (i + 1) % EARLY_CHECK_BITS == 0 && sat.iter().all(|&w| w == u64::MAX) {
-            return true;
-        }
-    }
-    false
-}
-
-/// SSE2 kernel: two 128-bit halves per block row. Bit-identical to the
-/// scalar kernel, including the early-abandon cadence.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "sse2")]
-unsafe fn scan_block_sse2<const K: usize>(
     planes: &[u64],
     query: &[u64],
     num_bits: usize,
@@ -749,46 +724,51 @@ unsafe fn scan_block_sse2<const K: usize>(
     counters_out: &mut [[u64; LANE_WORDS]; K],
     sat_out: &mut [u64; LANE_WORDS],
 ) -> bool {
-    use std::arch::x86_64::*;
-    // SAFETY: every load/store below reads or writes 16 bytes from slices /
-    // arrays whose bounds are checked before the pointer cast; `loadu` /
-    // `storeu` have no alignment requirement.
-    unsafe {
-        let mut counters = [[_mm_setzero_si128(); 2]; K];
-        let mut sat = [
-            _mm_loadu_si128(sat_init[0..2].as_ptr().cast()),
-            _mm_loadu_si128(sat_init[2..4].as_ptr().cast()),
-        ];
-        let mut early = false;
-        for i in 0..num_bits {
-            let qbit = (query[i / WORD_BITS] >> (i % WORD_BITS)) & 1;
-            let qmask = _mm_set1_epi64x(0i64.wrapping_sub(qbit as i64));
-            let plane = &planes[i * LANE_WORDS..][..LANE_WORDS];
-            for h in 0..2 {
-                let p = _mm_loadu_si128(plane[h * 2..h * 2 + 2].as_ptr().cast());
-                let mut carry = _mm_xor_si128(p, qmask);
-                for counter in counters.iter_mut() {
-                    let t = _mm_and_si128(counter[h], carry);
-                    counter[h] = _mm_xor_si128(counter[h], carry);
-                    carry = t;
-                }
-                sat[h] = _mm_or_si128(sat[h], carry);
-            }
-            if (i + 1) % EARLY_CHECK_BITS == 0 {
-                let both = _mm_and_si128(sat[0], sat[1]);
-                if _mm_movemask_epi8(_mm_cmpeq_epi8(both, _mm_set1_epi8(-1))) == 0xFFFF {
-                    early = true;
-                    break;
-                }
+    let mut counters = [[0u64; LANE_WORDS]; K];
+    let mut sat = *sat_init;
+    let mut early = false;
+    let chunks = planes[..num_bits * LANE_WORDS].chunks(EARLY_CHECK_BITS * LANE_WORDS);
+    for (c, chunk) in chunks.enumerate() {
+        // A chunk's query bits all sit in one query word: 32 divides 64.
+        let first = c * EARLY_CHECK_BITS;
+        let bits = query[first / WORD_BITS] >> (first % WORD_BITS);
+        accumulate_planes(chunk, bits, &mut counters, &mut sat);
+        if chunk.len() == EARLY_CHECK_BITS * LANE_WORDS && sat == [u64::MAX; LANE_WORDS] {
+            early = true;
+            break;
+        }
+    }
+    *counters_out = counters;
+    *sat_out = sat;
+    early
+}
+
+/// Adds each plane of `planes` (XORed with bit `j` of `query_bits` for the
+/// `j`-th plane) into the carry-save counters: counters in the outer loop,
+/// the four lane words in the inner loop.
+#[inline(always)]
+fn accumulate_planes<const K: usize>(
+    planes: &[u64],
+    query_bits: u64,
+    counters: &mut [[u64; LANE_WORDS]; K],
+    sat: &mut [u64; LANE_WORDS],
+) {
+    for (j, plane) in planes.chunks_exact(LANE_WORDS).enumerate() {
+        let qmask = 0u64.wrapping_sub((query_bits >> j) & 1);
+        let mut carry = [0u64; LANE_WORDS];
+        for k in 0..LANE_WORDS {
+            carry[k] = plane[k] ^ qmask;
+        }
+        for counter in counters.iter_mut() {
+            for k in 0..LANE_WORDS {
+                let t = counter[k] & carry[k];
+                counter[k] ^= carry[k];
+                carry[k] = t;
             }
         }
-        for (j, counter) in counters.iter().enumerate() {
-            _mm_storeu_si128(counters_out[j][0..2].as_mut_ptr().cast(), counter[0]);
-            _mm_storeu_si128(counters_out[j][2..4].as_mut_ptr().cast(), counter[1]);
+        for k in 0..LANE_WORDS {
+            sat[k] |= carry[k];
         }
-        _mm_storeu_si128(sat_out[0..2].as_mut_ptr().cast(), sat[0]);
-        _mm_storeu_si128(sat_out[2..4].as_mut_ptr().cast(), sat[1]);
-        early
     }
 }
 
@@ -987,22 +967,32 @@ mod tests {
 
     #[test]
     fn bucket_cascade_prunes_out_of_range_rows() {
-        let mut table = GroupTable::new(8);
-        table.observe(&BitSet::from_indices(8, []));
-        table.observe(&BitSet::from_indices(8, [0, 1, 2, 3, 4, 5, 6, 7]));
+        // One empty row plus popcount-8 rows, enough of them to build planes.
+        let mut table = GroupTable::new(16);
+        table.observe(&BitSet::from_indices(16, []));
+        let mut rng = XorShift(13);
+        while table.len() < SCAN_CROSSOVER_GROUPS {
+            let mut bits: Vec<usize> = (0..16).collect();
+            for i in (1..bits.len()).rev() {
+                bits.swap(i, rng.next() as usize % (i + 1));
+            }
+            table.observe(&BitSet::from_indices(16, bits[..8].iter().copied()));
+        }
+        let n = table.len() as u32;
         let index = SlicedScanIndex::with_backend(&table, ScanBackend::Scalar);
-        let query = BitSet::from_indices(8, [0, 1]);
+        assert!(index.is_bitsliced());
+        let query = BitSet::from_indices(16, [0, 1]);
         let mut out = Vec::new();
-        // Popcounts 0 and 8 vs query popcount 2 at threshold 1: both rows
-        // fall outside the bucket range, no block is ever touched.
+        // Popcounts 0 and 8 vs query popcount 2 at threshold 1: every row
+        // falls outside the bucket range, no block is ever touched.
         let profile = index.candidates_into(&query, 1, &mut out);
-        assert_eq!(profile.rows, 2);
-        assert_eq!(profile.pruned, 2);
+        assert_eq!(profile.rows, n);
+        assert_eq!(profile.pruned, n);
         assert_eq!(profile.blocks, 0);
         assert!(out.is_empty());
         // Threshold 2 admits the popcount-0 row: one block scanned.
         let profile = index.candidates_into(&query, 2, &mut out);
-        assert_eq!(profile.pruned, 1);
+        assert_eq!(profile.pruned, n - 1);
         assert_eq!(profile.blocks, 1);
         assert_eq!(out.len(), 1);
     }
@@ -1022,8 +1012,9 @@ mod tests {
 
     #[test]
     fn scratch_buffers_are_reused_without_reallocation() {
-        let table = random_table(40, 64, 11);
+        let table = random_table(40, SCAN_CROSSOVER_GROUPS + 40, 11);
         let index = SlicedScanIndex::with_backend(&table, ScanBackend::Scalar);
+        assert!(index.is_bitsliced());
         let mut out = Vec::with_capacity(table.len());
         let cap = out.capacity();
         let mut rng = XorShift(5);
@@ -1065,12 +1056,91 @@ mod tests {
     }
 
     #[test]
-    fn backend_env_round_trips_names() {
-        for backend in [ScanBackend::Scalar, ScanBackend::Sse2, ScanBackend::Avx2] {
-            assert!(!backend.name().is_empty());
-        }
+    fn backend_names_and_gauge_values_are_stable() {
+        assert_eq!(ScanBackend::Scalar.name(), "scalar");
+        assert_eq!(ScanBackend::Avx2.name(), "avx2");
+        assert_eq!(ScanBackend::Scalar.gauge_value(), 0);
+        assert_eq!(ScanBackend::Avx2.gauge_value(), 2);
         assert!(ScanBackend::Scalar.is_supported());
         assert!(ScanBackend::available().contains(&ScanBackend::Scalar));
+        assert!(ScanBackend::available().contains(&ScanBackend::detect()));
+    }
+
+    #[test]
+    fn small_tables_scan_bands_and_large_tables_build_planes() {
+        for groups in [1, SCAN_CROSSOVER_GROUPS / 4, SCAN_CROSSOVER_GROUPS - 1] {
+            let index = SlicedScanIndex::build(&random_table(64, groups, 21));
+            assert!(!index.is_bitsliced(), "{groups} groups");
+            assert!(index.planes.is_empty(), "{groups} groups");
+        }
+        for groups in [SCAN_CROSSOVER_GROUPS, SCAN_CROSSOVER_GROUPS + 8] {
+            let index = SlicedScanIndex::build(&random_table(64, groups, 21));
+            assert!(index.is_bitsliced(), "{groups} groups");
+            assert_eq!(index.len(), groups);
+            assert_eq!(index.planes.len(), 64 * LANE_WORDS);
+        }
+    }
+
+    #[test]
+    fn both_routes_match_the_naive_scan() {
+        for groups in [SCAN_CROSSOVER_GROUPS / 4, SCAN_CROSSOVER_GROUPS + 8] {
+            let table = random_table(64, groups, 21);
+            // Random queries plus trained rows with one bit flipped, so some
+            // candidates fall inside the threshold.
+            let mut rng = XorShift(17);
+            let queries: Vec<BitSet> = (0..8)
+                .map(|q| {
+                    if q % 2 == 0 {
+                        random_query(64, &mut rng)
+                    } else {
+                        let mut near = table.state(GroupId::new(q)).clone();
+                        near.set(q as usize, !near.get(q as usize));
+                        near
+                    }
+                })
+                .collect();
+            let refs: Vec<&BitSet> = queries.iter().collect();
+            for backend in backends_under_test() {
+                let index = SlicedScanIndex::with_backend(&table, backend);
+                for query in &queries {
+                    assert_eq!(index.candidates(query, 3), table.candidates(query, 3));
+                    assert_eq!(index.nearest(query), table.nearest(query));
+                }
+                let mut batch = Vec::new();
+                let _ = index.candidates_batch_into(&refs, 3, &mut batch);
+                for (query, got) in queries.iter().zip(&batch) {
+                    assert_eq!(got, &table.candidates(query, 3));
+                }
+                let _ = index.nearest_batch_into(&refs, &mut batch);
+                for (query, got) in queries.iter().zip(&batch) {
+                    assert_eq!(got, &table.nearest(query));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_route_reports_the_process_backend() {
+        let index = SlicedScanIndex::build(&random_table(16, 4, 21));
+        assert!(!index.is_bitsliced());
+        assert_eq!(index.backend(), ScanBackend::detect());
+    }
+
+    #[test]
+    fn batch_reuses_slots_without_stale_entries() {
+        for groups in [8, SCAN_CROSSOVER_GROUPS + 8] {
+            let table = random_table(32, groups, 21);
+            let index = SlicedScanIndex::build(&table);
+            let q1 = BitSet::from_indices(32, [0, 5]);
+            let q2 = BitSet::from_indices(32, [1]);
+            let mut batch = Vec::new();
+            let _ = index.candidates_batch_into(&[&q1, &q2], 32, &mut batch);
+            assert_eq!(batch.len(), 2);
+            // A smaller follow-up batch must truncate the slot vector.
+            let _ = index.candidates_batch_into(&[&q2], 0, &mut batch);
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch[0], table.candidates(&q2, 0));
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The `bench-json` command: a tracked benchmark baseline.
 //!
 //! Measures the candidate-scan hot path — the naive [`GroupTable`] scan
-//! against the packed [`ScanIndex`] and the bit-sliced [`SlicedScanIndex`]
-//! (single-query and batched, with the dispatched SIMD backend recorded) —
-//! at hh102 width (33 binary + 79 numeric sensors = 270 state bits) across
+//! against the [`SlicedScanIndex`] (single-query, batched, and nearest-group
+//! queries, with the route and the dispatched SIMD backend recorded) — at
+//! hh102 width (33 binary + 79 numeric sensors = 270 state bits) across
 //! group-table sizes, plus end-to-end engine throughput on the testbed, and
 //! writes the results as JSON. CI runs this from the repo root to refresh
 //! `BENCH_core.json`.
@@ -15,8 +15,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dice_core::{
-    BitSet, DiceConfig, DiceEngine, EngineOptions, GroupTable, ParallelTrainer, RoutedScanIndex,
-    ScanBackend, ScanIndex, SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
+    BitSet, DiceConfig, DiceEngine, EngineOptions, GroupTable, ParallelTrainer, ScanBackend,
+    SlicedScanIndex, SCAN_CROSSOVER_GROUPS,
 };
 use dice_sim::testbed;
 use dice_telemetry::{Telemetry, TimeSeriesRecorder};
@@ -38,11 +38,12 @@ const MAX_DISTANCE: u32 = 3;
 #[derive(Debug, Clone, Copy)]
 struct ScanRow {
     groups: usize,
+    /// Whether the index built bit-sliced planes for this table size.
+    bitsliced: bool,
     naive_ns: f64,
-    indexed_ns: f64,
-    bitsliced_ns: f64,
+    scan_ns: f64,
     batch_ns: f64,
-    routed_ns: f64,
+    nearest_ns: f64,
     backend: &'static str,
 }
 
@@ -56,19 +57,19 @@ impl ScanRow {
     }
 
     fn speedup(&self) -> f64 {
-        Self::ratio(self.naive_ns, self.indexed_ns)
-    }
-
-    fn speedup_bitsliced(&self) -> f64 {
-        Self::ratio(self.naive_ns, self.bitsliced_ns)
+        Self::ratio(self.naive_ns, self.scan_ns)
     }
 
     fn speedup_batch(&self) -> f64 {
         Self::ratio(self.naive_ns, self.batch_ns)
     }
 
-    fn speedup_routed(&self) -> f64 {
-        Self::ratio(self.naive_ns, self.routed_ns)
+    fn route(&self) -> &'static str {
+        if self.bitsliced {
+            "bit-sliced"
+        } else {
+            "band"
+        }
     }
 }
 
@@ -127,8 +128,9 @@ fn time_ns(mut f: impl FnMut() -> usize) -> f64 {
     }
 }
 
-/// Benchmarks naive vs packed vs bit-sliced (single and batched) candidate
-/// scans for each table size.
+/// Benchmarks the naive scan against the index (single, batched, and
+/// nearest-group queries) for each table size; the index picks its own
+/// route by size.
 fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
     let queries = synthetic_queries(num_bits, 32);
     let query_refs: Vec<&BitSet> = queries.iter().collect();
@@ -137,9 +139,7 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
         .iter()
         .map(|&groups| {
             let table = synthetic_table(num_bits, groups);
-            let index = ScanIndex::build(&table);
-            let sliced = SlicedScanIndex::build(&table);
-            let routed = RoutedScanIndex::build(&table);
+            let index = SlicedScanIndex::build(&table);
             let mut scratch = Vec::new();
             let mut batch_scratch: Vec<Vec<_>> = Vec::new();
             let naive_sweep = time_ns(|| {
@@ -152,7 +152,7 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
                     })
                     .sum()
             });
-            let indexed_sweep = time_ns(|| {
+            let scan_sweep = time_ns(|| {
                 queries
                     .iter()
                     .map(|q| {
@@ -161,43 +161,31 @@ fn candidate_scan_rows(num_bits: usize, sizes: &[usize]) -> Vec<ScanRow> {
                     })
                     .sum()
             });
-            let bitsliced_sweep = time_ns(|| {
-                queries
-                    .iter()
-                    .map(|q| {
-                        sliced.candidates_into(std::hint::black_box(q), MAX_DISTANCE, &mut scratch);
-                        scratch.len()
-                    })
-                    .sum()
-            });
-            let routed_sweep = time_ns(|| {
-                queries
-                    .iter()
-                    .map(|q| {
-                        let _ = routed.candidates_into(
-                            std::hint::black_box(q),
-                            MAX_DISTANCE,
-                            &mut scratch,
-                        );
-                        scratch.len()
-                    })
-                    .sum()
-            });
             let batch_sweep = time_ns(|| {
-                sliced.candidates_batch_into(
+                index.candidates_batch_into(
                     std::hint::black_box(&query_refs),
                     MAX_DISTANCE,
                     &mut batch_scratch,
                 );
                 batch_scratch.iter().map(Vec::len).sum()
             });
+            let nearest_sweep = time_ns(|| {
+                queries
+                    .iter()
+                    .map(|q| {
+                        index.nearest_into(std::hint::black_box(q), &mut scratch);
+                        scratch.len()
+                    })
+                    .sum()
+            });
+            let per_query = |sweep: f64| sweep / queries.len() as f64;
             ScanRow {
                 groups,
-                naive_ns: naive_sweep / queries.len() as f64,
-                indexed_ns: indexed_sweep / queries.len() as f64,
-                bitsliced_ns: bitsliced_sweep / queries.len() as f64,
-                batch_ns: batch_sweep / queries.len() as f64,
-                routed_ns: routed_sweep / queries.len() as f64,
+                bitsliced: index.is_bitsliced(),
+                naive_ns: per_query(naive_sweep),
+                scan_ns: per_query(scan_sweep),
+                batch_ns: per_query(batch_sweep),
+                nearest_ns: per_query(nearest_sweep),
                 backend,
             }
         })
@@ -655,7 +643,7 @@ fn render_json(
     fleet: &[FleetBenchResult],
 ) -> String {
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": 1,\n");
+    json.push_str("{\n  \"schema\": 2,\n");
     let _ = writeln!(
         json,
         "  \"candidate_scan\": {{\n    \"num_bits\": {HH102_BITS},\n    \"max_distance\": {MAX_DISTANCE},\n    \"crossover_groups\": {SCAN_CROSSOVER_GROUPS},\n    \"rows\": ["
@@ -664,17 +652,15 @@ fn render_json(
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"groups\": {}, \"naive_ns_per_scan\": {:.0}, \"scan_index_ns_per_scan\": {:.0}, \"speedup\": {:.2}, \"bitsliced_ns_per_scan\": {:.0}, \"speedup_bitsliced\": {:.2}, \"batch_ns_per_query\": {:.0}, \"speedup_batch\": {:.2}, \"routed_ns_per_scan\": {:.0}, \"speedup_routed\": {:.2}, \"backend\": \"{}\"}}{comma}",
+            "      {{\"groups\": {}, \"route\": \"{}\", \"naive_ns_per_scan\": {:.0}, \"scan_ns_per_query\": {:.0}, \"speedup\": {:.2}, \"batch_ns_per_query\": {:.0}, \"speedup_batch\": {:.2}, \"nearest_ns_per_query\": {:.0}, \"backend\": \"{}\"}}{comma}",
             row.groups,
+            row.route(),
             row.naive_ns,
-            row.indexed_ns,
+            row.scan_ns,
             row.speedup(),
-            row.bitsliced_ns,
-            row.speedup_bitsliced(),
             row.batch_ns,
             row.speedup_batch(),
-            row.routed_ns,
-            row.speedup_routed(),
+            row.nearest_ns,
             row.backend
         );
     }
@@ -759,7 +745,7 @@ fn render_json(
 /// Returns an error when the output file cannot be written.
 pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     let path = path.unwrap_or("BENCH_core.json");
-    let rows = candidate_scan_rows(HH102_BITS, &[100, 1000, 10_000, 100_000]);
+    let rows = candidate_scan_rows(HH102_BITS, &[33, 100, 1000, 10_000, 100_000]);
     let (throughput, overhead, timeseries) = engine_throughput();
     let training = training_bench(48);
     let analysis = analysis_bench(48);
@@ -786,23 +772,21 @@ pub fn bench_json(path: Option<&str>) -> Result<String, String> {
     for row in &rows {
         let _ = writeln!(
             out,
-            "  {:>6} groups: naive {:>9.0} ns/scan, indexed {:>9.0} ns/scan ({:.2}x), bitsliced[{}] {:>7.0} ns/scan ({:.2}x), batch {:>7.0} ns/query ({:.2}x), routed {:>7.0} ns/scan ({:.2}x)",
+            "  {:>6} groups ({}[{}]): naive {:>9.0} ns/scan, index {:>7.0} ns/query ({:.2}x), batch {:>7.0} ns/query ({:.2}x), nearest {:>7.0} ns/query",
             row.groups,
-            row.naive_ns,
-            row.indexed_ns,
-            row.speedup(),
+            row.route(),
             row.backend,
-            row.bitsliced_ns,
-            row.speedup_bitsliced(),
+            row.naive_ns,
+            row.scan_ns,
+            row.speedup(),
             row.batch_ns,
             row.speedup_batch(),
-            row.routed_ns,
-            row.speedup_routed()
+            row.nearest_ns
         );
     }
     let _ = writeln!(
         out,
-        "routed crossover: row-major below {SCAN_CROSSOVER_GROUPS} groups, bit-sliced above"
+        "crossover: popcount bands below {SCAN_CROSSOVER_GROUPS} groups, bit-sliced planes at or above"
     );
     let _ = writeln!(
         out,
@@ -871,42 +855,36 @@ mod tests {
 
     #[test]
     fn naive_and_indexed_scans_agree_on_synthetic_tables() {
-        let table = synthetic_table(HH102_BITS, 200);
-        let index = ScanIndex::build(&table);
-        let sliced = SlicedScanIndex::build(&table);
-        let routed = RoutedScanIndex::build(&table);
         let queries = synthetic_queries(HH102_BITS, 8);
-        for query in &queries {
-            assert_eq!(
-                table.candidates(query, MAX_DISTANCE),
-                index.candidates(query, MAX_DISTANCE)
-            );
-            assert_eq!(
-                table.candidates(query, MAX_DISTANCE),
-                sliced.candidates(query, MAX_DISTANCE)
-            );
-            assert_eq!(
-                table.candidates(query, MAX_DISTANCE),
-                routed.candidates(query, MAX_DISTANCE)
-            );
-        }
         let refs: Vec<&BitSet> = queries.iter().collect();
-        let mut batch = Vec::new();
-        let _ = sliced.candidates_batch_into(&refs, MAX_DISTANCE, &mut batch);
-        for (query, got) in queries.iter().zip(&batch) {
-            assert_eq!(got, &table.candidates(query, MAX_DISTANCE));
+        for groups in [33, 200] {
+            let table = synthetic_table(HH102_BITS, groups);
+            let index = SlicedScanIndex::build(&table);
+            assert_eq!(index.is_bitsliced(), groups >= SCAN_CROSSOVER_GROUPS);
+            for query in &queries {
+                assert_eq!(
+                    table.candidates(query, MAX_DISTANCE),
+                    index.candidates(query, MAX_DISTANCE)
+                );
+                assert_eq!(table.nearest(query), index.nearest(query));
+            }
+            let mut batch = Vec::new();
+            let _ = index.candidates_batch_into(&refs, MAX_DISTANCE, &mut batch);
+            for (query, got) in queries.iter().zip(&batch) {
+                assert_eq!(got, &table.candidates(query, MAX_DISTANCE));
+            }
         }
     }
 
     #[test]
     fn json_renders_all_sections() {
         let rows = vec![ScanRow {
-            groups: 100,
+            groups: 1000,
+            bitsliced: true,
             naive_ns: 1000.0,
-            indexed_ns: 250.0,
-            bitsliced_ns: 50.0,
+            scan_ns: 250.0,
             batch_ns: 40.0,
-            routed_ns: 200.0,
+            nearest_ns: 300.0,
             backend: "avx2",
         }];
         let throughput = Throughput {
@@ -969,10 +947,12 @@ mod tests {
             &tracing,
             &fleet,
         );
+        assert!(json.contains("\"schema\": 2"));
         assert!(json.contains("\"candidate_scan\""));
+        assert!(json.contains("\"route\": \"bit-sliced\""));
+        assert!(json.contains("\"scan_ns_per_query\": 250"));
         assert!(json.contains("\"speedup\": 4.00"));
-        assert!(json.contains("\"bitsliced_ns_per_scan\": 50"));
-        assert!(json.contains("\"speedup_bitsliced\": 20.00"));
+        assert!(json.contains("\"nearest_ns_per_query\": 300"));
         assert!(json.contains("\"batch_ns_per_query\": 40"));
         assert!(json.contains("\"speedup_batch\": 25.00"));
         assert!(json.contains("\"backend\": \"avx2\""));
@@ -987,8 +967,6 @@ mod tests {
         assert!(json.contains("\"timeseries_overhead\""));
         assert!(json.contains("\"sampled_ns_per_window\": 1857"));
         assert!(json.contains("\"overhead_pct\": 3.17"));
-        assert!(json.contains("\"routed_ns_per_scan\": 200"));
-        assert!(json.contains("\"speedup_routed\": 5.00"));
         assert!(json.contains("\"crossover_groups\""));
         assert!(json.contains("\"fleet_tracing_overhead\""));
         assert!(json.contains("\"untraced_ms\": 200.0"));
@@ -1005,10 +983,13 @@ mod tests {
     #[test]
     #[ignore = "measurement probe"]
     fn crossover_probe() {
-        for row in candidate_scan_rows(HH102_BITS, &[50, 100, 200, 300, 400, 600, 800, 1200]) {
+        for row in candidate_scan_rows(HH102_BITS, &[50, 100, 150, 159, 160, 200, 300, 600, 1200]) {
             println!(
-                "{:>5} groups: rows {:.0} ns, sliced {:.0} ns, routed {:.0} ns",
-                row.groups, row.indexed_ns, row.bitsliced_ns, row.routed_ns
+                "{:>5} groups ({}): {:.0} ns/query, nearest {:.0} ns/query",
+                row.groups,
+                row.route(),
+                row.scan_ns,
+                row.nearest_ns
             );
         }
     }

@@ -88,7 +88,7 @@ pub struct EngineMetrics {
     /// distance threshold.
     pub scan_early_stops_total: Arc<Counter>,
     /// SIMD backend the active engine's scan index dispatches to
-    /// (0 = scalar, 1 = SSE2, 2 = AVX2).
+    /// (0 = scalar, 2 = AVX2).
     pub scan_backend: Arc<Gauge>,
     /// Candidate groups admitted by candidate scans.
     pub scan_candidates_total: Arc<Counter>,
@@ -162,7 +162,7 @@ impl EngineMetrics {
             ),
             scan_backend: r.gauge(
                 "dice_engine_scan_backend",
-                "Scan SIMD backend (0 scalar, 1 SSE2, 2 AVX2)",
+                "Scan SIMD backend (0 scalar, 2 AVX2)",
             ),
             scan_candidates_total: r.counter(
                 "dice_engine_scan_candidates_total",

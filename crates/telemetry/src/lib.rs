@@ -31,7 +31,6 @@ mod json;
 mod registry;
 mod ring;
 mod sketch;
-mod span;
 mod timeseries;
 mod trace;
 
@@ -53,7 +52,6 @@ pub use json::{escape as json_escape, parse as json_parse, ParseError, Value};
 pub use registry::{Counter, Gauge, Histogram, LocalHistogram, MetricEntry, MetricKind, Registry};
 pub use ring::{EventRing, TelemetryEvent};
 pub use sketch::{LocalSketch, QuantileSketch, SKETCH_RELATIVE_ERROR};
-pub use span::{saturating_ns, SpanTimer};
 pub use timeseries::{SeriesSample, TimeSeriesRecorder};
 pub use trace::SlotRing;
 
@@ -143,14 +141,6 @@ impl Telemetry {
         self.inner.as_deref()
     }
 
-    /// Starts a span timer against `pick(metrics)`; inert when disabled.
-    pub fn span(&self, pick: impl FnOnce(&DiceMetrics) -> &Arc<Histogram>) -> SpanTimer {
-        match &self.inner {
-            Some(recorder) => SpanTimer::start(Some(pick(&recorder.metrics))),
-            None => SpanTimer::noop(),
-        }
-    }
-
     /// A point-in-time snapshot, or `None` for the no-op sink.
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.inner.as_ref().map(|r| r.snapshot())
@@ -173,6 +163,11 @@ impl Telemetry {
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
+/// Clamps a `u128` nanosecond duration into `u64` (584 years of headroom).
+pub fn saturating_ns(ns: u128) -> u64 {
+    u64::try_from(ns).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,8 +178,6 @@ mod tests {
         assert!(!telemetry.is_enabled());
         assert!(telemetry.recorder().is_none());
         assert!(telemetry.snapshot().is_none());
-        let timer = telemetry.span(|m| &m.engine.correlation_check_ns);
-        assert!(!timer.is_active());
     }
 
     #[test]
@@ -204,12 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn span_feeds_catalog_histogram() {
-        let telemetry = Telemetry::recording();
-        telemetry.span(|m| &m.engine.identification_ns).finish();
-        let snapshot = telemetry.snapshot().unwrap();
-        let (count, _) = snapshot.histogram("dice_engine_identification_ns").unwrap();
-        assert_eq!(count, 1);
+    fn saturating_ns_clamps() {
+        assert_eq!(saturating_ns(42), 42);
+        assert_eq!(saturating_ns(u128::from(u64::MAX) + 1), u64::MAX);
     }
 
     #[test]
