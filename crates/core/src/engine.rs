@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dice_telemetry::{saturating_ns, Counter, EngineMetrics, LocalHistogram, Telemetry};
+use dice_telemetry::{saturating_ns, Counter, EngineMetrics, LocalSketch, Telemetry};
 use dice_types::{DeviceId, Event, GroupId, TimeDelta, Timestamp};
 
 use crate::binarize::{BinarizeScratch, WindowObservation};
@@ -383,21 +383,18 @@ pub struct DiceEngine<M: Borrow<DiceModel>> {
 }
 
 /// Engine-local telemetry buffers for the metrics touched on every window
-/// (the three latency histograms plus the windows / main-group-hit
-/// counters): the hot path does plain integer bumps, published every
+/// (the two latency sketches plus the windows / main-group-hit counters):
+/// the hot path does plain integer bumps, published every
 /// [`TelBatch::FLUSH_EVERY`] windows, at stream boundaries, and on drop.
 /// Rare-path metrics (violations, scan stats, reports) stay immediate.
 #[derive(Debug)]
 struct TelBatch {
-    corr_ns: LocalHistogram,
-    trans_ns: LocalHistogram,
-    ident_ns: LocalHistogram,
-    /// Per-check latency quantile sketch, buffered like the histograms —
-    /// four direct sketch records per window measured as ~5% of replay
-    /// time on hosts with slow atomic read-modify-writes.
-    check_ns: dice_telemetry::LocalSketch,
+    /// Per-check latency quantile sketch, buffered — direct sketch records
+    /// on every window measured as ~5% of replay time on hosts with slow
+    /// atomic read-modify-writes.
+    check_ns: LocalSketch,
     /// Whole-window detection latency quantile sketch, buffered.
-    detection_ns: dice_telemetry::LocalSketch,
+    detection_ns: LocalSketch,
     windows_total: Arc<dice_telemetry::Counter>,
     main_group_hits_total: Arc<dice_telemetry::Counter>,
     windows_n: u64,
@@ -410,11 +407,8 @@ impl TelBatch {
 
     fn new(metrics: &EngineMetrics) -> Self {
         TelBatch {
-            corr_ns: LocalHistogram::new(Arc::clone(&metrics.correlation_check_ns)),
-            trans_ns: LocalHistogram::new(Arc::clone(&metrics.transition_check_ns)),
-            ident_ns: LocalHistogram::new(Arc::clone(&metrics.identification_ns)),
-            check_ns: dice_telemetry::LocalSketch::new(Arc::clone(&metrics.check_ns)),
-            detection_ns: dice_telemetry::LocalSketch::new(Arc::clone(&metrics.detection_ns)),
+            check_ns: LocalSketch::new(Arc::clone(&metrics.check_ns)),
+            detection_ns: LocalSketch::new(Arc::clone(&metrics.detection_ns)),
             windows_total: Arc::clone(&metrics.windows_total),
             main_group_hits_total: Arc::clone(&metrics.main_group_hits_total),
             windows_n: 0,
@@ -424,9 +418,6 @@ impl TelBatch {
     }
 
     fn flush(&mut self) {
-        self.corr_ns.flush();
-        self.trans_ns.flush();
-        self.ident_ns.flush();
         self.check_ns.flush();
         self.detection_ns.flush();
         if self.windows_n > 0 {
@@ -446,11 +437,8 @@ impl Clone for TelBatch {
     /// buffered samples belong to the engine that measured them.
     fn clone(&self) -> Self {
         TelBatch {
-            corr_ns: LocalHistogram::new(Arc::clone(self.corr_ns.shared())),
-            trans_ns: LocalHistogram::new(Arc::clone(self.trans_ns.shared())),
-            ident_ns: LocalHistogram::new(Arc::clone(self.ident_ns.shared())),
-            check_ns: dice_telemetry::LocalSketch::new(Arc::clone(self.check_ns.shared())),
-            detection_ns: dice_telemetry::LocalSketch::new(Arc::clone(self.detection_ns.shared())),
+            check_ns: LocalSketch::new(Arc::clone(self.check_ns.shared())),
+            detection_ns: LocalSketch::new(Arc::clone(self.detection_ns.shared())),
             windows_total: Arc::clone(&self.windows_total),
             main_group_hits_total: Arc::clone(&self.main_group_hits_total),
             windows_n: 0,
@@ -801,8 +789,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         let model = self.model.borrow();
 
         // Binarization + correlation check, both into engine-owned scratch:
-        // a steady-state window touches no allocator.
+        // a steady-state window touches no allocator. Each check is timed
+        // once; `CostProfile` and the latency sketches read the same ticks.
         let t0 = Instant::now();
+        let mut t_trans = None;
         let mut obs = std::mem::take(&mut self.obs_scratch);
         model
             .binarizer()
@@ -836,7 +826,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             }
             Some(group) => {
                 let cases = match self.prev.as_ref() {
-                    Some(prev) => detector.transition_check(prev, group, &obs),
+                    Some(prev) => {
+                        t_trans = Some(Instant::now());
+                        detector.transition_check(prev, group, &obs)
+                    }
                     None => Vec::new(),
                 };
                 if cases.is_empty() {
@@ -848,40 +841,19 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         };
         let t1 = Instant::now();
 
-        // Cost attribution: a `Normal`/`TransitionViolation` outcome passed
-        // through the transition check; a correlation violation never got
-        // there. The split is approximate (the two checks share one call)
-        // but the correlation check dominates by orders of magnitude.
-        let corr_ns: u128;
-        let mut trans_ns: u128 = 0;
-        let mut transition_checked = false;
-        match &result {
-            CheckResult::CorrelationViolation { .. } => {
-                corr_ns = t0.elapsed().as_nanos();
-            }
-            _ => {
-                // Re-measure the transition part alone for attribution.
-                let t_trans = Instant::now();
-                if let (Some(prev), CheckResult::Normal { group })
-                | (Some(prev), CheckResult::TransitionViolation { group, .. }) =
-                    (self.prev.as_ref(), &result)
-                {
-                    let _ = detector.transition_check(prev, *group, &obs);
-                    transition_checked = true;
-                }
-                trans_ns = t_trans.elapsed().as_nanos();
-                corr_ns = (t1 - t0).as_nanos();
-            }
-        }
+        // Cost attribution: the correlation check (with binarization and
+        // any candidate scan) runs up to the transition check, which runs
+        // only for a main-group window with a previous window to compare.
+        let corr_ns = (t_trans.unwrap_or(t1) - t0).as_nanos();
+        let trans_ns = t_trans.map_or(0, |t| (t1 - t).as_nanos());
         self.cost.correlation_ns += corr_ns;
         self.cost.transition_ns += trans_ns;
         self.cost.windows += 1;
 
         // Identification.
         let phase_before = self.trace_phase();
-        let t2 = Instant::now();
         let mut report = self.advance_phase(&obs, &result, end);
-        let ident_ns = t2.elapsed().as_nanos();
+        let ident_ns = t1.elapsed().as_nanos();
         self.cost.identification_ns += ident_ns;
 
         // Decision tracing. Disabled (the default) costs this one branch;
@@ -921,13 +893,10 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
             let m = &recorder.metrics.engine;
             if let Some(batch) = self.tel_batch.as_mut() {
                 batch.windows_n += 1;
-                batch.corr_ns.record(saturating_ns(corr_ns));
                 batch.check_ns.record(saturating_ns(corr_ns));
-                if transition_checked {
-                    batch.trans_ns.record(saturating_ns(trans_ns));
+                if t_trans.is_some() {
                     batch.check_ns.record(saturating_ns(trans_ns));
                 }
-                batch.ident_ns.record(saturating_ns(ident_ns));
                 batch.check_ns.record(saturating_ns(ident_ns));
                 batch
                     .detection_ns
@@ -1731,12 +1700,9 @@ mod tests {
             snapshot.gauge("dice_engine_scan_backend"),
             Some(engine.scan_backend().gauge_value())
         );
-        // The latency histograms see the same windows CostProfile does.
-        let (corr_count, corr_sum) = snapshot
-            .histogram("dice_engine_correlation_check_ns")
-            .unwrap();
-        assert_eq!(corr_count, engine.cost_profile().windows);
-        assert_eq!(u128::from(corr_sum), engine.cost_profile().correlation_ns);
+        // The latency sketches see the same windows CostProfile does.
+        let (detection_count, _) = snapshot.sketch("dice_engine_detection_ns").unwrap();
+        assert_eq!(detection_count, engine.cost_profile().windows);
         // Each report surfaced as a ring event.
         let recorder = telemetry.recorder().unwrap();
         let events = recorder.events.snapshot();

@@ -14,8 +14,9 @@
 //!   not homes.
 //! - **Batched detection** ([`shard`]): each shard collects ready windows
 //!   across its homes and resolves their candidate scans through the
-//!   bit-sliced batch scan entry points, then drives per-home engines
-//!   bit-identically to the unbatched path.
+//!   bit-sliced batch scan entry points, then drives each home's
+//!   [`HomeSession`](dice_gateway::HomeSession) bit-identically to the
+//!   single-home gateway.
 //! - **The service** ([`service`]): thread-per-shard with bounded queues
 //!   and back-pressure accounting; alarm output is invariant under the
 //!   shard count.

@@ -106,6 +106,10 @@ pub struct FleetStats {
     pub decode_errors: u64,
     /// Events accepted into the monitored range.
     pub events: u64,
+    /// Decoded frames whose event lies outside the monitored range.
+    pub out_of_range: u64,
+    /// Decoded frames for homes no shard serves.
+    pub unknown_home: u64,
     /// Windows closed across all homes.
     pub windows: u64,
     /// Cross-home batched candidate scans issued.
@@ -535,6 +539,8 @@ fn drain_shard(
 fn absorb_shard(stats: &mut FleetStats, shard: &ShardStats) {
     stats.decode_errors += shard.decode_errors;
     stats.events += shard.events;
+    stats.out_of_range += shard.out_of_range;
+    stats.unknown_home += shard.unknown_home;
     stats.windows += shard.windows;
     stats.batched_scans += shard.batched_scans;
     stats.alarms += shard.alarms;

@@ -1,28 +1,30 @@
-//! The per-shard engine pool: every home owns its windowing state and
-//! engine, ready windows are detected in cross-home batches.
+//! The per-shard session pool: every home owns a [`HomeSession`] (engine,
+//! open window, cooldown ledger), ready windows are detected in cross-home
+//! batches.
 //!
-//! A shard receives packed frame batches for its subset of homes, closes
-//! each home's one-minute windows as that home's stream passes their
-//! boundaries, and parks closed windows in a ready list. When the list
+//! A shard receives packed frame batches for its subset of homes, feeds
+//! each frame to its home's session, and parks the windows the sessions
+//! close in a ready list. When the list
 //! reaches the configured batch size (or the stream ends) the shard
 //! resolves every violating window's candidate scan in one batched sweep
 //! per distinct model — the natural batches PR 7's
 //! `candidates_batch_into` was built for — and then drives each home's
-//! engine through [`DiceEngine::process_window_prescanned`], which is
+//! session through [`HomeSession::process`] with the prescan, which is
 //! bit-identical to the unbatched path. Identification state, alarm
 //! cooldowns, and reports stay strictly per home, so shard composition
 //! never leaks state across homes and alarm output is invariant under the
 //! shard count.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dice_core::{
     BinarizeScratch, Candidate, Detector, DiceEngine, DiceModel, EngineOptions, FaultReport,
     LineageStamp, ScanProfile, WindowObservation, WindowPrescan,
 };
-use dice_telemetry::{shard_label, SlotRing, Telemetry};
-use dice_types::{DeviceId, Event, TimeDelta, Timestamp};
+use dice_gateway::{ClosedWindow, HomeSession};
+use dice_telemetry::{shard_label, Counter, SlotRing, Telemetry};
+use dice_types::{TimeDelta, Timestamp};
 
 use crate::frame::{decode_frames, FleetFrame, HomeId};
 use crate::service::ShardBatch;
@@ -50,6 +52,10 @@ pub struct ShardStats {
     pub decode_errors: u64,
     /// Events accepted into the monitored range.
     pub events: u64,
+    /// Decoded frames outside the monitored range, dropped.
+    pub out_of_range: u64,
+    /// Decoded frames for homes not registered with this shard, dropped.
+    pub unknown_home: u64,
     /// Windows closed and processed.
     pub windows: u64,
     /// Cross-home batched candidate scans issued.
@@ -60,57 +66,25 @@ pub struct ShardStats {
     pub suppressed: u64,
 }
 
-impl ShardStats {
-    /// Adds another shard's counts into this one.
-    pub fn absorb(&mut self, other: &ShardStats) {
-        self.frames += other.frames;
-        self.decode_errors += other.decode_errors;
-        self.events += other.events;
-        self.windows += other.windows;
-        self.batched_scans += other.batched_scans;
-        self.alarms += other.alarms;
-        self.suppressed += other.suppressed;
-    }
-}
-
-/// One home's serving state: its engine (holding a shared model handle),
-/// the open window, and the alarm-cooldown ledger.
-#[derive(Debug)]
-struct HomeState {
-    home: HomeId,
-    model: Arc<DiceModel>,
-    engine: DiceEngine<Arc<DiceModel>>,
-    window: TimeDelta,
-    window_start: Timestamp,
-    events: Vec<Event>,
-    last_alarmed: HashMap<DeviceId, Timestamp>,
-    reports: Vec<FaultReport>,
-}
-
-/// A closed window waiting for the next batched detection sweep.
-#[derive(Debug)]
-struct ReadyWindow {
-    slot: usize,
-    start: Timestamp,
-    end: Timestamp,
-    events: Vec<Event>,
-}
-
-/// One shard's engine pool; see the module docs for the batching scheme.
+/// One shard's session pool; see the module docs for the batching scheme.
 #[derive(Debug)]
 pub struct ShardEngine {
-    homes: Vec<HomeState>,
+    homes: Vec<HomeSession<Arc<DiceModel>>>,
+    /// Each slot's home id and delivered reports, in registration order.
+    alarms: Vec<(HomeId, Vec<FaultReport>)>,
     slots: BTreeMap<HomeId, usize>,
-    ready: Vec<ReadyWindow>,
+    /// Closed windows waiting for the next batched detection sweep, with
+    /// their home's slot.
+    ready: Vec<(usize, ClosedWindow)>,
     batch_windows: usize,
-    alarm_cooldown: TimeDelta,
-    from: Timestamp,
-    to: Timestamp,
     telemetry: Telemetry,
     stats: ShardStats,
     /// Resolved per-shard child of `dice_fleet_shard_windows_total`, so
     /// the sweep loop never touches the family mutex.
-    shard_windows: Option<Arc<dice_telemetry::Counter>>,
+    shard_windows: Option<Arc<Counter>>,
+    /// Resolved `out_of_range` and `unknown_home` children of
+    /// `dice_fleet_dropped_events_total`.
+    dropped: Option<[Arc<Counter>; 2]>,
     // Batch scratch, reused across sweeps.
     obs: Vec<WindowObservation>,
     bin_scratch: BinarizeScratch,
@@ -151,34 +125,29 @@ impl ShardEngine {
         tracing: bool,
         clock: TraceClock,
     ) -> Self {
-        let mut states = Vec::with_capacity(homes.len());
+        let mut sessions = Vec::with_capacity(homes.len());
+        let mut alarms = Vec::with_capacity(homes.len());
         let mut slots = BTreeMap::new();
         for (home, model) in homes {
-            let window = model.config().window();
-            let engine = DiceEngine::with_options(
-                Arc::clone(&model),
-                EngineOptions {
-                    telemetry: telemetry.clone(),
-                    ..EngineOptions::default()
-                },
-            );
-            slots.insert(home, states.len());
-            states.push(HomeState {
-                home,
-                model,
-                engine,
-                window,
-                window_start: from.align_down(window),
-                events: Vec::new(),
-                last_alarmed: HashMap::new(),
-                reports: Vec::new(),
-            });
+            let options = EngineOptions {
+                telemetry: telemetry.clone(),
+                ..EngineOptions::default()
+            };
+            let mut session =
+                HomeSession::new(DiceEngine::with_options(model, options), alarm_cooldown);
+            session.begin(from, to);
+            slots.insert(home, sessions.len());
+            sessions.push(session);
+            alarms.push((home, Vec::new()));
         }
-        let shard_windows = telemetry.recorder().map(|rec| {
-            rec.metrics
-                .fleet
-                .shard_windows_total
+        let metrics = telemetry.recorder().map(|rec| &rec.metrics.fleet);
+        let shard_windows = metrics.map(|m| {
+            m.shard_windows_total
                 .with_label_values(&[&shard_label(shard)])
+        });
+        let dropped = metrics.map(|m| {
+            ["out_of_range", "unknown_home"]
+                .map(|reason| m.dropped_events_total.with_label_values(&[reason]))
         });
         let stages = if tracing {
             StageSketches::resolve(&telemetry, shard)
@@ -186,16 +155,15 @@ impl ShardEngine {
             None
         };
         ShardEngine {
-            homes: states,
+            homes: sessions,
+            alarms,
             slots,
             ready: Vec::new(),
             batch_windows: batch_windows.max(1),
-            alarm_cooldown,
-            from,
-            to,
             telemetry,
             stats: ShardStats::default(),
             shard_windows,
+            dropped,
             obs: Vec::new(),
             bin_scratch: BinarizeScratch::default(),
             shard: u32::try_from(shard).unwrap_or(u32::MAX),
@@ -208,11 +176,6 @@ impl ShardEngine {
             sweep_ns_in_batch: 0,
             stamp_slots: Vec::new(),
         }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &ShardStats {
-        &self.stats
     }
 
     /// Decodes and ingests one packed batch of frames. A frame that fails
@@ -281,35 +244,35 @@ impl ShardEngine {
         (self.ring.iter().copied().collect(), self.ring.dropped())
     }
 
-    /// Ingests one decoded frame: routes it to its home, closes windows
-    /// the home's stream has passed, and sweeps a batch when enough
-    /// windows are ready. Frames for unregistered homes or outside
-    /// `[from, to)` are dropped.
+    /// Ingests one decoded frame: routes it to its home's session, parks
+    /// the windows it closes, and sweeps a batch when enough windows are
+    /// ready. Frames for unregistered homes or outside `[from, to)` are
+    /// counted and dropped.
     pub fn ingest(&mut self, frame: FleetFrame) {
         let Some(&slot) = self.slots.get(&frame.home) else {
+            self.stats.unknown_home += 1;
+            if let Some([_, unknown_home]) = &self.dropped {
+                unknown_home.inc();
+            }
             return;
         };
         let at = frame.event.at();
-        if at < self.from || at >= self.to {
+        let session = &mut self.homes[slot];
+        if !session.admits(at) {
+            self.stats.out_of_range += 1;
+            if let Some([out_of_range, _]) = &self.dropped {
+                out_of_range.inc();
+            }
             return;
         }
         self.stats.events += 1;
         if let Some(rec) = self.telemetry.recorder() {
             rec.metrics.fleet.events_total.inc();
         }
-        let home = &mut self.homes[slot];
-        while at >= home.window_start + home.window {
-            let end = home.window_start + home.window;
-            let events = std::mem::take(&mut home.events);
-            self.ready.push(ReadyWindow {
-                slot,
-                start: home.window_start,
-                end,
-                events,
-            });
-            home.window_start = end;
+        while let Some(window) = session.close_before(at) {
+            self.ready.push((slot, window));
         }
-        home.events.push(frame.event);
+        session.push(frame.event);
         if self.ready.len() >= self.batch_windows {
             self.sweep();
         }
@@ -332,12 +295,12 @@ impl ShardEngine {
         // Binarize + correlation-check every ready window. `exact[i]`
         // means the window matched a main group and needs no scan.
         let mut exact = Vec::with_capacity(n);
-        for (i, rw) in self.ready.iter().enumerate() {
-            let model: &DiceModel = &self.homes[rw.slot].model;
+        for (i, (slot, window)) in self.ready.iter().enumerate() {
+            let model = self.homes[*slot].engine().model();
             model.binarizer().binarize_into(
-                rw.start,
-                rw.end,
-                &rw.events,
+                window.start,
+                window.end,
+                &window.events,
                 &mut self.bin_scratch,
                 &mut self.obs[i],
             );
@@ -356,7 +319,7 @@ impl ShardEngine {
             if is_exact {
                 continue;
             }
-            let ptr = Arc::as_ptr(&self.homes[self.ready[i].slot].model);
+            let ptr: *const DiceModel = self.homes[self.ready[i].0].engine().model();
             match groups.iter_mut().find(|(p, _)| *p == ptr) {
                 Some((_, idxs)) => idxs.push(i),
                 None => groups.push((ptr, vec![i])),
@@ -370,7 +333,7 @@ impl ShardEngine {
         resolved.resize_with(n, Vec::new);
         let mut profiles = vec![ScanProfile::default(); n];
         for (_, idxs) in &groups {
-            let model = Arc::clone(&self.homes[self.ready[idxs[0]].slot].model);
+            let model = self.homes[self.ready[idxs[0]].0].engine().model();
             let queries: Vec<&dice_core::BitSet> =
                 idxs.iter().map(|&i| &self.obs[i].state).collect();
             let mut cand_batch = Vec::new();
@@ -414,21 +377,12 @@ impl ShardEngine {
         // suffix of arrival order, which is what the engines require).
         let mut publish_ns = 0u64;
         let mut ready = std::mem::take(&mut self.ready);
-        for (i, rw) in ready.drain(..).enumerate() {
-            let home = &mut self.homes[rw.slot];
-            let report = if exact[i] {
-                home.engine.process_window(rw.start, rw.end, &rw.events)
-            } else {
-                home.engine.process_window_prescanned(
-                    rw.start,
-                    rw.end,
-                    &rw.events,
-                    WindowPrescan {
-                        candidates: &resolved[i],
-                        profile: profiles[i],
-                    },
-                )
-            };
+        for (i, (slot, window)) in ready.drain(..).enumerate() {
+            let prescan = (!exact[i]).then(|| WindowPrescan {
+                candidates: &resolved[i],
+                profile: profiles[i],
+            });
+            let report = self.homes[slot].process(window, prescan);
             self.stats.windows += 1;
             if let Some(rec) = self.telemetry.recorder() {
                 rec.metrics.fleet.windows_total.inc();
@@ -438,13 +392,7 @@ impl ShardEngine {
             }
             if let Some(report) = report {
                 let publish_start_ns = if self.tracing { self.clock.now_ns() } else { 0 };
-                let delivered = Self::deliver(
-                    home,
-                    report,
-                    self.alarm_cooldown,
-                    &mut self.stats,
-                    &self.telemetry,
-                );
+                let delivered = self.publish(slot, report);
                 if self.tracing {
                     let d = self.clock.now_ns().saturating_sub(publish_start_ns);
                     publish_ns += d;
@@ -452,7 +400,7 @@ impl ShardEngine {
                         stages.publish.record(d);
                     }
                     if delivered {
-                        self.stamp_slots.push(rw.slot);
+                        self.stamp_slots.push(slot);
                     }
                 }
             }
@@ -485,15 +433,15 @@ impl ShardEngine {
             // report of a touched home is from this sweep; earlier sweeps
             // stamped theirs).
             while let Some(slot) = self.stamp_slots.pop() {
-                let home = &mut self.homes[slot];
-                for report in home.reports.iter_mut().rev() {
+                let (home, reports) = &mut self.alarms[slot];
+                for report in reports.iter_mut().rev() {
                     if report.lineage.is_some() {
                         break;
                     }
                     report.lineage = Some(stamp);
                     if let Some(rec) = self.telemetry.recorder() {
                         rec.events
-                            .push("fleet_alarm_lineage", format!("home {} {stamp}", home.home));
+                            .push("fleet_alarm_lineage", format!("home {home} {stamp}"));
                     }
                 }
             }
@@ -501,38 +449,27 @@ impl ShardEngine {
         }
     }
 
-    /// Delivers one report through the home's cooldown ledger, mirroring
-    /// the single-home gateway's suppression semantics. Returns whether
-    /// the report was delivered (vs suppressed).
-    fn deliver(
-        home: &mut HomeState,
-        report: FaultReport,
-        cooldown: TimeDelta,
-        stats: &mut ShardStats,
-        telemetry: &Telemetry,
-    ) -> bool {
-        let now = report.identified_at;
-        let fresh = report.devices.iter().any(|d| {
-            home.last_alarmed
-                .get(d)
-                .is_none_or(|&at| now - at > cooldown)
-        });
-        if fresh || report.devices.is_empty() {
-            for &d in &report.devices {
-                home.last_alarmed.insert(d, now);
+    /// Passes one of slot `slot`'s reports through its session's cooldown
+    /// and records the outcome. Returns whether the report was delivered
+    /// (vs suppressed).
+    fn publish(&mut self, slot: usize, report: FaultReport) -> bool {
+        let recorder = self.telemetry.recorder();
+        match self.homes[slot].deliver(report) {
+            Some(report) => {
+                self.stats.alarms += 1;
+                if let Some(rec) = recorder {
+                    rec.metrics.fleet.alarms_total.inc();
+                }
+                self.alarms[slot].1.push(report);
+                true
             }
-            stats.alarms += 1;
-            if let Some(rec) = telemetry.recorder() {
-                rec.metrics.fleet.alarms_total.inc();
+            None => {
+                self.stats.suppressed += 1;
+                if let Some(rec) = recorder {
+                    rec.metrics.fleet.alarms_suppressed_total.inc();
+                }
+                false
             }
-            home.reports.push(report);
-            true
-        } else {
-            stats.suppressed += 1;
-            if let Some(rec) = telemetry.recorder() {
-                rec.metrics.fleet.alarms_suppressed_total.inc();
-            }
-            false
         }
     }
 
@@ -542,21 +479,8 @@ impl ShardEngine {
     /// retained lineage records (oldest first).
     pub fn finish(mut self) -> ShardFinish {
         for slot in 0..self.homes.len() {
-            loop {
-                let home = &mut self.homes[slot];
-                if home.window_start >= self.to {
-                    break;
-                }
-                let end = (home.window_start + home.window).min(self.to);
-                let start = home.window_start;
-                let events = std::mem::take(&mut home.events);
-                home.window_start = end;
-                self.ready.push(ReadyWindow {
-                    slot,
-                    start,
-                    end,
-                    events,
-                });
+            while let Some(window) = self.homes[slot].drain() {
+                self.ready.push((slot, window));
                 if self.ready.len() >= self.batch_windows {
                     self.sweep();
                 }
@@ -564,23 +488,11 @@ impl ShardEngine {
         }
         self.sweep();
         for slot in 0..self.homes.len() {
-            let home = &mut self.homes[slot];
-            if let Some(report) = home.engine.flush() {
-                Self::deliver(
-                    home,
-                    report,
-                    self.alarm_cooldown,
-                    &mut self.stats,
-                    &self.telemetry,
-                );
+            if let Some(report) = self.homes[slot].flush() {
+                self.publish(slot, report);
             }
         }
         let records = self.ring.iter().copied().collect();
-        let out = self
-            .homes
-            .into_iter()
-            .map(|h| (h.home, h.reports))
-            .collect();
-        (out, self.stats, records)
+        (self.alarms, self.stats, records)
     }
 }

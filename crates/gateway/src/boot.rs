@@ -151,9 +151,9 @@ mod tests {
     #[test]
     fn good_model_boots() {
         let bytes = model_bytes(false);
-        let (gateway, findings) = HomeGateway::boot(bytes.as_slice(), &BootOptions::new()).unwrap();
+        let (_gateway, findings) =
+            HomeGateway::boot(bytes.as_slice(), &BootOptions::new()).unwrap();
         assert!(!has_errors(&findings));
-        assert!(!gateway.is_identifying());
     }
 
     #[test]

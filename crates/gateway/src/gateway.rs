@@ -2,14 +2,11 @@
 //! online.
 //!
 //! The gateway performs a k-way time-ordered merge over the aggregator
-//! channels, closes one-minute windows as the merged stream passes their
-//! boundaries, and feeds each window to the real-time engine. Fault reports
-//! are pushed to an alarm channel the moment identification completes —
-//! this is the deployment shape of Figure 3.1, with threads and channels
-//! standing in for the CoAP fabric.
-//
-// lint-src: allow-file(hash-container) — the alarm-dedup map is a point
-// lookup keyed by device id; alarms are emitted in merged-stream order.
+//! channels and feeds the merged stream to one [`HomeSession`], which
+//! closes windows, drives the real-time engine, and applies the alarm
+//! cooldown. Fault reports are pushed to an alarm channel the moment
+//! identification completes — this is the deployment shape of Figure 3.1,
+//! with threads and channels standing in for the CoAP fabric.
 //
 // lint-src: allow-file(wall-clock) — window close-to-verdict timing feeds
 // the dice_gateway_window_ns observability sketch only; nothing downstream
@@ -25,10 +22,11 @@ use parking_lot::Mutex;
 
 use dice_core::trace::{write_header_line, write_trace_line};
 use dice_core::{DecisionTrace, DiceEngine, DiceModel, EngineOptions, FaultReport, TraceHeader};
-use dice_telemetry::{saturating_ns, Recorder, Telemetry};
+use dice_telemetry::{saturating_ns, shard_label, Recorder, Telemetry};
 use dice_types::{DeviceId, Event, Timestamp};
 
 use crate::message::{decode_event, FrameError};
+use crate::session::{ClosedWindow, HomeSession};
 
 /// An alarm pushed by the gateway when a fault is identified.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,23 +47,26 @@ impl Alarm {
 pub struct GatewayStats {
     /// Windows processed.
     pub windows: u64,
-    /// Events merged from all aggregators.
+    /// Merged events accepted into the monitored range.
     pub events: u64,
     /// Frames that failed to decode and were dropped.
     pub decode_errors: u64,
+    /// Decoded events outside the monitored range, dropped.
+    pub out_of_range: u64,
     /// Alarms raised.
     pub alarms: u64,
+    /// Alarms suppressed by the cooldown.
+    pub suppressed: u64,
 }
 
 /// The home gateway.
 ///
-/// Holds the engine behind a mutex so other threads (a UI, a health
-/// endpoint) can query [`HomeGateway::is_identifying`] while a run is in
-/// progress.
+/// Holds its session (engine, open window, cooldown ledger) behind a mutex
+/// so runs can take `&self`; a run holds the lock from start to finish, so
+/// runs on one gateway serialize. The engine keeps its state across runs.
 #[derive(Debug)]
 pub struct HomeGateway<M: Borrow<DiceModel>> {
-    engine: Mutex<DiceEngine<M>>,
-    alarm_cooldown: dice_types::TimeDelta,
+    session: Mutex<HomeSession<M>>,
     telemetry: Telemetry,
     /// The `home` label this gateway's dimensional metrics record under.
     home: String,
@@ -172,8 +173,10 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
     ) -> Self {
         let telemetry = options.telemetry.clone();
         HomeGateway {
-            engine: Mutex::new(DiceEngine::with_options(model, options)),
-            alarm_cooldown,
+            session: Mutex::new(HomeSession::new(
+                DiceEngine::with_options(model, options),
+                alarm_cooldown,
+            )),
             telemetry,
             home: "home0".to_string(),
             trace_snapshots: None,
@@ -200,11 +203,6 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             failed: false,
         }));
         self
-    }
-
-    /// Whether the engine is currently narrowing down a detected fault.
-    pub fn is_identifying(&self) -> bool {
-        self.engine.lock().is_identifying()
     }
 
     /// Runs the gateway loop over `[from, to)`: merges the aggregator
@@ -238,94 +236,81 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
     ) -> GatewayStats {
         let mut stats = GatewayStats::default();
         let recorder = self.telemetry.recorder();
+        let metrics = recorder.map(|rec| &rec.metrics.gateway);
         // Resolve dimensional children once: the hot loop records through
         // plain Arc handles, never the family mutex.
-        let home_windows = recorder.map(|rec| {
-            rec.metrics
-                .gateway
-                .home_windows_total
-                .with_label_values(&[&self.home])
-        });
-        let home_alarms = recorder.map(|rec| {
-            rec.metrics
-                .gateway
-                .home_alarms_total
-                .with_label_values(&[&self.home])
-        });
-        let (window, trace_header) = {
-            let engine = self.engine.lock();
-            let header = self
-                .trace_snapshots
-                .is_some()
-                .then(|| TraceHeader::from_layout(engine.model().layout()));
-            (engine.model().config().window(), header)
-        };
+        let home = [self.home.as_str()];
+        let home_windows = metrics.map(|m| m.home_windows_total.with_label_values(&home));
+        let home_alarms = metrics.map(|m| m.home_alarms_total.with_label_values(&home));
+        let out_of_range =
+            metrics.map(|m| m.dropped_events_total.with_label_values(&["out_of_range"]));
+        let mut guard = self.session.lock();
+        let session = &mut *guard;
+        session.begin(from, to);
+        let trace_header = self
+            .trace_snapshots
+            .is_some()
+            .then(|| TraceHeader::from_layout(session.engine().model().layout()));
 
         // K-way merge state: one pending event per live stream.
         let mut streams: Vec<Option<Receiver<Bytes>>> = inputs.into_iter().map(Some).collect();
         let mut pending: Vec<Option<Event>> = vec![None; streams.len()];
-        let shard_depths: Vec<_> = recorder
-            .map(|rec| {
+        let shard_depths: Vec<_> = metrics
+            .map(|m| {
                 (0..streams.len())
-                    .map(|shard| {
-                        rec.metrics
-                            .gateway
-                            .shard_depth
-                            .with_label_values(&[&dice_telemetry::shard_label(shard)])
-                    })
+                    .map(|shard| m.shard_depth.with_label_values(&[&shard_label(shard)]))
                     .collect()
             })
             .unwrap_or_default();
-        if let Some(rec) = recorder {
-            rec.metrics
-                .gateway
-                .streams_connected
-                .set(streams.len() as i64);
+        if let Some(m) = metrics {
+            m.streams_connected.set(streams.len() as i64);
         }
 
-        let mut window_start = from.align_down(window);
-        let mut window_events: Vec<Event> = Vec::new();
-        let mut engine = self.engine.lock();
-        let mut last_alarmed: std::collections::HashMap<DeviceId, Timestamp> =
-            std::collections::HashMap::new();
-        let deliver =
-            |report: FaultReport,
-             stats: &mut GatewayStats,
-             last_alarmed: &mut std::collections::HashMap<DeviceId, Timestamp>| {
-                let now = report.identified_at;
-                let fresh = report.devices.iter().any(|d| {
-                    last_alarmed
-                        .get(d)
-                        .is_none_or(|&at| now - at > self.alarm_cooldown)
-                });
-                if fresh || report.devices.is_empty() {
-                    for &d in &report.devices {
-                        last_alarmed.insert(d, now);
-                    }
-                    stats.alarms += 1;
-                    if let Some(rec) = recorder {
-                        rec.metrics.gateway.alarms_total.inc();
-                    }
-                    if let Some(home) = &home_alarms {
-                        home.inc();
-                    }
-                    if let (Some(writer), Some(header)) = (&self.trace_snapshots, &trace_header) {
-                        if !report.evidence.is_empty() {
-                            writer
-                                .lock()
-                                .write_snapshot(header, &report.evidence, recorder);
-                        }
-                    }
-                    let _ = alarms.send(Alarm { report });
-                } else if let Some(rec) = recorder {
-                    rec.metrics.gateway.alarms_suppressed_total.inc();
+        // Passes a report through the session's cooldown and publishes it.
+        let publish = |session: &mut HomeSession<M>, stats: &mut GatewayStats, report| {
+            let Some(report) = session.deliver(report) else {
+                stats.suppressed += 1;
+                if let Some(m) = metrics {
+                    m.alarms_suppressed_total.inc();
                 }
+                return;
+            };
+            stats.alarms += 1;
+            if let (Some(m), Some(home)) = (metrics, &home_alarms) {
+                m.alarms_total.inc();
+                home.inc();
+            }
+            if let (Some(writer), Some(header)) = (&self.trace_snapshots, &trace_header) {
+                if !report.evidence.is_empty() {
+                    writer
+                        .lock()
+                        .write_snapshot(header, &report.evidence, recorder);
+                }
+            }
+            let _ = alarms.send(Alarm { report });
+        };
+        // Runs one closed window through the engine and the alarm path.
+        let mut close =
+            |session: &mut HomeSession<M>, stats: &mut GatewayStats, window: ClosedWindow| {
+                let end = window.end;
+                let opened = recorder.map(|_| Instant::now());
+                if let Some(report) = session.process(window, None) {
+                    publish(session, stats, report);
+                }
+                stats.windows += 1;
+                if let (Some(m), Some(home), Some(opened)) = (metrics, &home_windows, opened) {
+                    m.windows_total.inc();
+                    m.window_ns
+                        .record(saturating_ns(opened.elapsed().as_nanos()));
+                    home.inc();
+                }
+                on_window(end);
             };
 
         'merge: loop {
             // Sample fan-in pressure before draining: the high-water mark of
             // frames queued across all live aggregator channels.
-            if let Some(rec) = recorder {
+            if let Some(m) = metrics {
                 let mut depth = 0usize;
                 for (shard, rx) in streams.iter().enumerate() {
                     let Some(rx) = rx else { continue };
@@ -333,7 +318,7 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                     depth += len;
                     shard_depths[shard].set_max(len as i64);
                 }
-                rec.metrics.gateway.channel_depth.set_max(depth as i64);
+                m.channel_depth.set_max(depth as i64);
             }
 
             // Refill pending slots.
@@ -342,8 +327,8 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                     let Some(rx) = stream else { break };
                     match rx.recv() {
                         Ok(frame) => {
-                            if let Some(rec) = recorder {
-                                rec.metrics.gateway.frames_total.inc();
+                            if let Some(m) = metrics {
+                                m.frames_total.inc();
                             }
                             match decode_event(frame) {
                                 Ok(event) => pending[slot] = Some(event),
@@ -363,8 +348,8 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
                         }
                         Err(_) => {
                             *stream = None; // aggregator hung up
-                            if let Some(rec) = recorder {
-                                rec.metrics.gateway.streams_connected.add(-1);
+                            if let Some(m) = metrics {
+                                m.streams_connected.add(-1);
                             }
                             break;
                         }
@@ -383,69 +368,29 @@ impl<M: Borrow<DiceModel>> HomeGateway<M> {
             };
             pending[slot] = None;
 
-            if event.at() < from || event.at() >= to {
-                continue; // outside the monitored range
+            if !session.admits(event.at()) {
+                stats.out_of_range += 1;
+                if let Some(dropped) = &out_of_range {
+                    dropped.inc();
+                }
+                continue;
             }
             stats.events += 1;
-            if let Some(rec) = recorder {
-                rec.metrics.gateway.events_total.inc();
+            if let Some(m) = metrics {
+                m.events_total.inc();
             }
-
-            // Close windows the merged stream has passed.
-            while event.at() >= window_start + window {
-                let end = window_start + window;
-                let opened = recorder.map(|_| Instant::now());
-                if let Some(report) = engine.process_window(window_start, end, &window_events) {
-                    deliver(report, &mut stats, &mut last_alarmed);
-                }
-                stats.windows += 1;
-                if let Some(rec) = recorder {
-                    rec.metrics.gateway.windows_total.inc();
-                    if let Some(opened) = opened {
-                        rec.metrics
-                            .gateway
-                            .window_ns
-                            .record(saturating_ns(opened.elapsed().as_nanos()));
-                    }
-                }
-                if let Some(home) = &home_windows {
-                    home.inc();
-                }
-                window_events.clear();
-                window_start = end;
-                on_window(end);
+            while let Some(window) = session.close_before(event.at()) {
+                close(session, &mut stats, window);
             }
-            window_events.push(event);
+            session.push(event);
         }
 
-        // Close remaining windows up to `to`.
-        while window_start < to {
-            let end = (window_start + window).min(to);
-            let opened = recorder.map(|_| Instant::now());
-            if let Some(report) = engine.process_window(window_start, end, &window_events) {
-                deliver(report, &mut stats, &mut last_alarmed);
-            }
-            stats.windows += 1;
-            if let Some(rec) = recorder {
-                rec.metrics.gateway.windows_total.inc();
-                if let Some(opened) = opened {
-                    rec.metrics
-                        .gateway
-                        .window_ns
-                        .record(saturating_ns(opened.elapsed().as_nanos()));
-                }
-            }
-            if let Some(home) = &home_windows {
-                home.inc();
-            }
-            window_events.clear();
-            window_start = end;
-            on_window(end);
+        while let Some(window) = session.drain() {
+            close(session, &mut stats, window);
         }
-        if let Some(report) = engine.flush() {
-            deliver(report, &mut stats, &mut last_alarmed);
+        if let Some(report) = session.flush() {
+            publish(session, &mut stats, report);
         }
-
         stats
     }
 }
@@ -707,6 +652,37 @@ mod tests {
         assert!(
             rendered.contains(&format!("{}", DeviceId::Sensor(sensors[1]))),
             "explain must name the faulty sensor:\n{rendered}"
+        );
+    }
+
+    #[test]
+    fn every_frame_is_accepted_or_counted_as_a_drop() {
+        let (_, sensors, model) = training_home();
+        let events = live_events(&sensors, 10, true);
+        let (from, to) = (Timestamp::from_mins(2), Timestamp::from_mins(8));
+        let (tx, rx) = unbounded();
+        tx.send(Bytes::from_static(&[0xFF])).unwrap(); // garbage
+        for event in &events {
+            tx.send(crate::message::encode_event(event)).unwrap();
+        }
+        drop(tx);
+        let frames = events.len() as u64 + 1;
+        let telemetry = Telemetry::recording();
+        let (alarm_tx, _alarm_rx) = unbounded();
+        let gateway =
+            HomeGateway::with_telemetry(&model, TimeDelta::from_mins(60), telemetry.clone());
+        let stats = gateway.run(vec![rx], &alarm_tx, from, to);
+        assert_eq!(stats.decode_errors, 1);
+        assert!(stats.events > 0 && stats.out_of_range > 0);
+        assert_eq!(
+            frames,
+            stats.events + stats.decode_errors + stats.out_of_range
+        );
+        let snapshot = telemetry.snapshot().unwrap();
+        assert_eq!(snapshot.counter("dice_gateway_frames_total"), Some(frames));
+        assert_eq!(
+            snapshot.family_value("dice_gateway_dropped_events_total", &["out_of_range"]),
+            Some(i128::from(stats.out_of_range))
         );
     }
 

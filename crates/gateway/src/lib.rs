@@ -19,8 +19,10 @@ mod aggregator;
 mod boot;
 mod gateway;
 mod message;
+mod session;
 
 pub use aggregator::{partition_by_device, spawn_aggregator};
 pub use boot::{load_model, BootError, BootOptions};
 pub use gateway::{Alarm, GatewayStats, HomeGateway};
 pub use message::{decode_event, decode_event_slice, encode_event, encode_event_into, FrameError};
+pub use session::{ClosedWindow, HomeSession};

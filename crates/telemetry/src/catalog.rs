@@ -96,12 +96,6 @@ pub struct EngineMetrics {
     pub reports_total: Arc<Counter>,
     /// Fault reports that converged below `numThre`.
     pub reports_conclusive_total: Arc<Counter>,
-    /// Wall-clock time of binarization + the correlation check, per window.
-    pub correlation_check_ns: Arc<Histogram>,
-    /// Wall-clock time of the transition check, per checked window.
-    pub transition_check_ns: Arc<Histogram>,
-    /// Wall-clock time of the identification step, per window.
-    pub identification_ns: Arc<Histogram>,
     /// Windows from detection to an emitted report.
     pub identification_windows: Arc<Histogram>,
     /// Layout fingerprint of the most recently constructed engine's model,
@@ -173,24 +167,6 @@ impl EngineMetrics {
                 "dice_engine_reports_conclusive_total",
                 "Fault reports that converged below numThre",
             ),
-            correlation_check_ns: r.histogram(
-                "dice_engine_correlation_check_ns",
-                "Binarization + correlation check time per window",
-                "ns",
-                &LATENCY_BOUNDS_NS,
-            ),
-            transition_check_ns: r.histogram(
-                "dice_engine_transition_check_ns",
-                "Transition check time per checked window",
-                "ns",
-                &LATENCY_BOUNDS_NS,
-            ),
-            identification_ns: r.histogram(
-                "dice_engine_identification_ns",
-                "Identification time per window",
-                "ns",
-                &LATENCY_BOUNDS_NS,
-            ),
             identification_windows: r.histogram(
                 "dice_engine_identification_windows",
                 "Windows from detection to report",
@@ -254,6 +230,9 @@ pub struct GatewayMetrics {
     pub home_windows_total: Arc<Family<Counter>>,
     /// Alarms delivered, labeled by home.
     pub home_alarms_total: Arc<Family<Counter>>,
+    /// Decoded events dropped before windowing, labeled by `reason`
+    /// (`out_of_range`).
+    pub dropped_events_total: Arc<Family<Counter>>,
     /// High-water mark of queued frames, labeled by aggregator shard.
     pub shard_depth: Arc<Family<Gauge>>,
 }
@@ -309,6 +288,11 @@ impl GatewayMetrics {
                 "Alarms delivered per home",
                 &["home"],
             ),
+            dropped_events_total: r.counter_family(
+                "dice_gateway_dropped_events_total",
+                "Decoded events dropped before windowing, per reason",
+                &["reason"],
+            ),
             shard_depth: r.gauge_family(
                 "dice_gateway_shard_depth",
                 "High-water mark of queued frames per aggregator shard",
@@ -345,6 +329,9 @@ pub struct FleetMetrics {
     pub shards: Arc<Gauge>,
     /// Distinct `DiceModel` instances resident across all homes.
     pub models_resident: Arc<Gauge>,
+    /// Decoded frames dropped before windowing, labeled by `reason`
+    /// (`out_of_range`, `unknown_home`).
+    pub dropped_events_total: Arc<Family<Counter>>,
     /// Windows closed, labeled by shard.
     pub shard_windows_total: Arc<Family<Counter>>,
     /// High-water mark of queued frame batches, labeled by shard.
@@ -408,6 +395,11 @@ impl FleetMetrics {
             models_resident: r.gauge(
                 "dice_fleet_models_resident",
                 "Distinct DiceModel instances resident across homes",
+            ),
+            dropped_events_total: r.counter_family(
+                "dice_fleet_dropped_events_total",
+                "Decoded frames dropped before windowing, per reason",
+                &["reason"],
             ),
             shard_windows_total: r.counter_family(
                 "dice_fleet_shard_windows_total",

@@ -787,8 +787,8 @@ mod tests {
         metrics.engine.windows_total.add(42);
         metrics.engine.correlation_violations_total.add(3);
         metrics.gateway.channel_depth.set_max(9);
-        metrics.engine.correlation_check_ns.record(5_000);
-        metrics.engine.correlation_check_ns.record(9_000_000_000);
+        metrics.eval.trial_ns.record(5_000);
+        metrics.eval.trial_ns.record(900_000_000_000);
         for v in [10_000u64, 20_000, 800_000] {
             metrics.engine.detection_ns.record(v);
         }
@@ -843,7 +843,7 @@ mod tests {
         let h = parsed
             .get("histograms")
             .unwrap()
-            .get("dice_engine_correlation_check_ns")
+            .get("dice_eval_trial_ns")
             .unwrap();
         assert_eq!(h.get("count").unwrap().as_num(), Some(2.0));
         // Overflow sample lands in the +Inf (le: null) bucket.
@@ -892,9 +892,9 @@ mod tests {
         assert!(text.contains("dice_engine_windows_total 42"));
         assert!(text.contains("# TYPE dice_gateway_channel_depth gauge"));
         assert!(text.contains("dice_gateway_channel_depth 9"));
-        assert!(text.contains("dice_engine_correlation_check_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("dice_engine_correlation_check_ns_count 2"));
-        assert!(text.contains("dice_engine_correlation_check_ns_sum 9000005000"));
+        assert!(text.contains("dice_eval_trial_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("dice_eval_trial_ns_count 2"));
+        assert!(text.contains("dice_eval_trial_ns_sum 900000005000"));
         assert!(text.contains("# TYPE dice_engine_detection_ns summary"));
         assert!(text.contains("dice_engine_detection_ns{quantile=\"0.5\"}"));
         assert!(text.contains("dice_engine_detection_ns_count 3"));
@@ -977,11 +977,9 @@ mod tests {
         let snapshot = Snapshot::collect(&registry, &events);
         assert_eq!(snapshot.counter("dice_engine_windows_total"), Some(42));
         assert_eq!(snapshot.gauge("dice_gateway_channel_depth"), Some(9));
-        let (count, sum) = snapshot
-            .histogram("dice_engine_correlation_check_ns")
-            .unwrap();
+        let (count, sum) = snapshot.histogram("dice_eval_trial_ns").unwrap();
         assert_eq!(count, 2);
-        assert_eq!(sum, 9_000_005_000);
+        assert_eq!(sum, 900_000_005_000);
         assert_eq!(snapshot.counter("nope"), None);
     }
 }

@@ -49,7 +49,7 @@ pub use health::{
     RuleOutcome,
 };
 pub use json::{escape as json_escape, parse as json_parse, ParseError, Value};
-pub use registry::{Counter, Gauge, Histogram, LocalHistogram, MetricEntry, MetricKind, Registry};
+pub use registry::{Counter, Gauge, Histogram, MetricEntry, MetricKind, Registry};
 pub use ring::{EventRing, TelemetryEvent};
 pub use sketch::{LocalSketch, QuantileSketch, SKETCH_RELATIVE_ERROR};
 pub use timeseries::{SeriesSample, TimeSeriesRecorder};

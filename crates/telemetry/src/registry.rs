@@ -109,25 +109,6 @@ impl Histogram {
         self.bounds.partition_point(|&bound| bound < value)
     }
 
-    /// Merges a batch of pre-bucketed counts (overflow bucket last, as laid
-    /// out by [`Histogram::bucket_index`]) plus their sample sum — the flush
-    /// half of [`LocalHistogram`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` does not have one entry per bucket.
-    pub fn merge(&self, counts: &[u64], sum: u64) {
-        assert_eq!(counts.len(), self.buckets.len(), "bucket count mismatch");
-        for (bucket, &n) in self.buckets.iter().zip(counts) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if sum > 0 {
-            self.sum.fetch_add(sum, Ordering::Relaxed);
-        }
-    }
-
     /// The bucket upper bounds (exclusive of the overflow bucket).
     pub fn bounds(&self) -> &'static [u64] {
         self.bounds
@@ -159,76 +140,6 @@ impl Histogram {
         } else {
             self.sum() as f64 / count as f64
         }
-    }
-}
-
-/// An unsynchronized accumulation buffer over a shared [`Histogram`].
-///
-/// Hot loops that record every iteration (the engine records three check
-/// latencies per window) buffer into plain integers here and publish in one
-/// [`LocalHistogram::flush`], turning two atomic read-modify-writes per
-/// sample into two per batch. Buffered samples are invisible to snapshots
-/// until flushed; dropping the buffer flushes it.
-#[derive(Debug)]
-pub struct LocalHistogram {
-    shared: Arc<Histogram>,
-    /// The shared histogram's bounds, cached so a record never chases the
-    /// `Arc` — the buffer's whole point is keeping the hot path in
-    /// engine-local memory.
-    bounds: &'static [u64],
-    counts: Box<[u64]>,
-    sum: u64,
-    pending: u64,
-}
-
-impl LocalHistogram {
-    /// Wraps `shared` with an empty local buffer.
-    pub fn new(shared: Arc<Histogram>) -> Self {
-        let bounds = shared.bounds();
-        let counts = vec![0; bounds.len() + 1].into_boxed_slice();
-        LocalHistogram {
-            shared,
-            bounds,
-            counts,
-            sum: 0,
-            pending: 0,
-        }
-    }
-
-    /// Buffers one sample locally — no atomics, no shared-memory reads.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        let bucket = self.bounds.partition_point(|&bound| bound < value);
-        self.counts[bucket] += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.pending += 1;
-    }
-
-    /// Samples buffered since the last flush.
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    /// The shared histogram this buffer publishes into.
-    pub fn shared(&self) -> &Arc<Histogram> {
-        &self.shared
-    }
-
-    /// Publishes the buffered samples to the shared histogram.
-    pub fn flush(&mut self) {
-        if self.pending == 0 {
-            return;
-        }
-        self.shared.merge(&self.counts, self.sum);
-        self.counts.fill(0);
-        self.sum = 0;
-        self.pending = 0;
-    }
-}
-
-impl Drop for LocalHistogram {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -565,27 +476,6 @@ mod tests {
         let _ = registry.counter("a_total", "");
         let names: Vec<_> = registry.entries().iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["a_total", "z_total"]);
-    }
-
-    #[test]
-    fn local_histogram_batches_and_flushes_on_drop() {
-        static BOUNDS: [u64; 2] = [10, 100];
-        let registry = Registry::new();
-        let shared = registry.histogram("h_ns", "latency", "ns", &BOUNDS);
-        let mut local = LocalHistogram::new(Arc::clone(&shared));
-        local.record(5);
-        local.record(50);
-        local.record(500);
-        assert_eq!(local.pending(), 3);
-        assert_eq!(shared.count(), 0, "buffered samples stay invisible");
-        local.flush();
-        assert_eq!(local.pending(), 0);
-        assert_eq!(shared.bucket_counts(), vec![1, 1, 1]);
-        assert_eq!(shared.sum(), 555);
-        local.record(7);
-        drop(local);
-        assert_eq!(shared.count(), 4, "drop publishes the tail");
-        assert_eq!(shared.sum(), 562);
     }
 
     #[test]

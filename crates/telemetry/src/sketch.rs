@@ -151,8 +151,9 @@ impl QuantileSketch {
     }
 }
 
-/// An unsynchronized accumulation buffer over a shared [`QuantileSketch`],
-/// the sketch counterpart of [`LocalHistogram`](crate::LocalHistogram).
+/// An unsynchronized accumulation buffer over a shared [`QuantileSketch`]
+/// for hot loops that record on every iteration (the engine's per-window
+/// check latencies).
 ///
 /// [`LocalSketch::record`] is a bucket lookup plus two plain integer adds;
 /// [`LocalSketch::flush`] publishes one atomic add per *touched* bucket

@@ -395,7 +395,7 @@ mod tests {
             .with_label_values(&["1"])
             .set_max(9);
         recorder.metrics.engine.detection_ns.record(50);
-        recorder.metrics.engine.correlation_check_ns.record(100);
+        recorder.metrics.eval.trial_ns.record(100);
         series.sample_at(recorder, 10);
         assert_eq!(
             series.counter_deltas("dice_gateway_home_windows_total"),
@@ -408,10 +408,7 @@ mod tests {
             sample.distribution("dice_engine_detection_ns"),
             Some((1, 50))
         );
-        assert_eq!(
-            sample.distribution("dice_engine_correlation_check_ns"),
-            Some((1, 100))
-        );
+        assert_eq!(sample.distribution("dice_eval_trial_ns"), Some((1, 100)));
         assert_eq!(sample.distribution("dice_engine_windows_total"), None);
     }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dice_core::{ContextExtractor, DiceConfig, DiceModel};
 use dice_fleet::{
     decode_frame_slice, decode_frames, encode_frame, Fleet, FleetConfig, FleetRun, ModelCache,
-    TraceClock,
+    ShardEngine, TraceClock,
 };
 use dice_gateway::{encode_event, HomeGateway};
 use dice_telemetry::{evaluate_health, standard_rules, HealthStatus, Telemetry};
@@ -405,6 +405,93 @@ fn single_home_fleet_matches_the_gateway() {
     assert_eq!(run.alarms[0].home, 0);
     assert_eq!(run.alarms[0].reports, gateway_reports);
     assert_eq!(run.stats.windows, stats.windows);
+}
+
+#[test]
+fn every_decoded_frame_is_accepted_or_counted_as_a_drop() {
+    let model = Arc::new(train_plan(0));
+    let sensors = plan_devices(0).1;
+    let from = Timestamp::from_mins(10);
+    let to = Timestamp::from_mins(50);
+    // 60 minutes of events for home 0, of which only [10, 50) is in
+    // range, plus the same stream for home 9, which is not registered.
+    let events = live_events(&sensors, 60, false);
+    let in_range = events
+        .iter()
+        .filter(|e| from <= e.at() && e.at() < to)
+        .count() as u64;
+
+    // One shard, fed directly: decoded frames = events + out_of_range +
+    // unknown_home.
+    let mut batch = Vec::new();
+    for home in [0, 9] {
+        for event in &events {
+            batch.extend_from_slice(&encode_frame(home, event));
+        }
+    }
+    let mut shard = ShardEngine::new(
+        0,
+        vec![(0, Arc::clone(&model))],
+        16,
+        TimeDelta::from_mins(60),
+        from,
+        to,
+        Telemetry::noop(),
+        false,
+        TraceClock::default(),
+    );
+    shard.ingest_batch(&batch);
+    let (_, stats, _) = shard.finish();
+    assert_eq!(stats.frames, 2 * events.len() as u64);
+    assert_eq!(stats.events, in_range);
+    assert_eq!(stats.out_of_range, events.len() as u64 - in_range);
+    assert_eq!(stats.unknown_home, events.len() as u64);
+    assert_eq!(
+        stats.frames,
+        stats.events + stats.out_of_range + stats.unknown_home
+    );
+
+    // Through the service: the same split reaches `FleetStats` and the
+    // reason-labelled drop counters.
+    let telemetry = Telemetry::recording();
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 2,
+        telemetry: telemetry.clone(),
+        ..FleetConfig::default()
+    });
+    fleet.register_home(0, model);
+    let run = fleet.run(from, to, |sender| {
+        for home in [0, 9] {
+            for event in &events {
+                sender.send(home, event);
+            }
+        }
+    });
+    let fleet_stats = run.stats;
+    assert_eq!(fleet_stats.decode_errors, 0);
+    assert_eq!(
+        (
+            fleet_stats.events,
+            fleet_stats.out_of_range,
+            fleet_stats.unknown_home
+        ),
+        (stats.events, stats.out_of_range, stats.unknown_home)
+    );
+    assert_eq!(
+        fleet_stats.frames,
+        fleet_stats.events + fleet_stats.out_of_range + fleet_stats.unknown_home
+    );
+    let snapshot = telemetry.snapshot().unwrap();
+    for (reason, n) in [
+        ("out_of_range", fleet_stats.out_of_range),
+        ("unknown_home", fleet_stats.unknown_home),
+    ] {
+        assert_eq!(
+            snapshot.family_value("dice_fleet_dropped_events_total", &[reason]),
+            Some(i128::from(n)),
+            "{reason}"
+        );
+    }
 }
 
 #[test]

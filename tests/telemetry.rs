@@ -56,17 +56,24 @@ fn telemetry_is_deterministic_exportable_and_cheap() {
     let spec = testbed::dice_testbed("telemetry", 23, TimeDelta::from_hours(96), 12, 1);
     let td = train_scenario(spec, &cfg);
 
-    // 1. Determinism and overhead: interleaved replays, min-of-N per mode.
-    //    The engine reads one clock per check either way (the CostProfile
-    //    bridge), so recording adds only atomic updates; the guard bounds
-    //    that at 5% in release builds (debug codegen gets more slack).
-    let reps = if cfg!(debug_assertions) { 8 } else { 24 };
-    let mut noop_best = u128::MAX;
-    let mut recording_best = u128::MAX;
+    // 1. Determinism and overhead: interleaved replay pairs, median of the
+    //    per-pair overhead. The engine reads one clock per check either way
+    //    (the CostProfile bridge), so recording adds only buffered metric
+    //    updates; the guard bounds that at 5% in release builds (debug
+    //    codegen gets more slack). The mode that runs first alternates, and
+    //    the median discards pairs that other tests in this binary slowed
+    //    on one side only.
+    let reps = if cfg!(debug_assertions) { 8 } else { 48 };
+    let mut overheads = Vec::with_capacity(reps);
     let mut reference: Option<Vec<FaultReport>> = None;
-    for _ in 0..reps {
-        let (noop_reports, noop_ns) = replay(&td, Telemetry::noop());
-        let (rec_reports, rec_ns) = replay(&td, Telemetry::recording());
+    for rep in 0..reps {
+        let ((noop_reports, noop_ns), (rec_reports, rec_ns)) = if rep % 2 == 0 {
+            let noop = replay(&td, Telemetry::noop());
+            (noop, replay(&td, Telemetry::recording()))
+        } else {
+            let recording = replay(&td, Telemetry::recording());
+            (replay(&td, Telemetry::noop()), recording)
+        };
         assert_eq!(
             noop_reports, rec_reports,
             "recording telemetry must not change fault reports"
@@ -76,17 +83,16 @@ fn telemetry_is_deterministic_exportable_and_cheap() {
         } else {
             reference = Some(rec_reports);
         }
-        noop_best = noop_best.min(noop_ns);
-        recording_best = recording_best.min(rec_ns);
+        assert!(noop_ns > 0, "replay too short to time");
+        #[allow(clippy::cast_precision_loss)]
+        overheads.push((rec_ns as f64 - noop_ns as f64) / noop_ns as f64 * 100.0);
     }
-    assert!(noop_best > 0, "replay too short to time");
-    #[allow(clippy::cast_precision_loss)]
-    let overhead_pct = (recording_best as f64 - noop_best as f64) / noop_best as f64 * 100.0;
+    overheads.sort_by(f64::total_cmp);
+    let overhead_pct = overheads[overheads.len() / 2];
     let budget_pct = if cfg!(debug_assertions) { 30.0 } else { 5.0 };
     assert!(
         overhead_pct < budget_pct,
-        "telemetry overhead {overhead_pct:.2}% exceeds {budget_pct}% \
-         (noop {noop_best} ns vs recording {recording_best} ns)"
+        "telemetry overhead {overhead_pct:.2}% (median of {reps} pairs) exceeds {budget_pct}%"
     );
 
     // 2. The eval runner reports to the installed global recorder.
@@ -112,7 +118,7 @@ fn telemetry_is_deterministic_exportable_and_cheap() {
     assert!(prom.contains("# TYPE dice_engine_windows_total counter"));
     assert!(prom.contains("# TYPE dice_gateway_channel_depth gauge"));
     assert!(prom.contains("# TYPE dice_eval_trial_ns histogram"));
-    assert!(prom.contains("dice_engine_correlation_check_ns_bucket{le=\"+Inf\"}"));
+    assert!(prom.contains("dice_eval_trial_ns_bucket{le=\"+Inf\"}"));
     // The engine replays above fed the detection-latency sketch; its
     // summary rows appear in the same exposition.
     assert!(prom.contains("# TYPE dice_engine_detection_ns summary"));
