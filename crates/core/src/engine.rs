@@ -184,40 +184,6 @@ impl CostProfile {
         }
     }
 
-    /// Total nanoseconds across all three steps.
-    pub fn total_ns(&self) -> u128 {
-        self.correlation_ns + self.transition_ns + self.identification_ns
-    }
-
-    /// Correlation-check time in whole milliseconds, saturating to `u64`.
-    pub fn correlation_millis(&self) -> u64 {
-        saturating_millis(self.correlation_ns)
-    }
-
-    /// Transition-check time in whole milliseconds, saturating to `u64`.
-    pub fn transition_millis(&self) -> u64 {
-        saturating_millis(self.transition_ns)
-    }
-
-    /// Identification time in whole milliseconds, saturating to `u64`.
-    pub fn identification_millis(&self) -> u64 {
-        saturating_millis(self.identification_ns)
-    }
-
-    /// Total time in whole milliseconds, saturating to `u64`.
-    pub fn total_millis(&self) -> u64 {
-        saturating_millis(self.total_ns())
-    }
-
-    /// Mean total nanoseconds per window, or 0 before any window.
-    pub fn mean_ns_per_window(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / self.windows as f64
-        }
-    }
-
     /// Merges another profile into this one.
     pub fn merge(&mut self, other: &CostProfile) {
         self.correlation_ns += other.correlation_ns;
@@ -256,13 +222,6 @@ fn detection_detail(model: &DiceModel, result: &CheckResult) -> Option<Detection
     }
 }
 
-/// Converts a `u128` nanosecond total into whole milliseconds, saturating
-/// to `u64` (585 million years of headroom — effectively "never wrong, and
-/// never a silent truncation").
-fn saturating_millis(ns: u128) -> u64 {
-    u64::try_from(ns / 1_000_000).unwrap_or(u64::MAX)
-}
-
 /// Optional engine behaviors beyond the paper's defaults.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
@@ -271,7 +230,7 @@ pub struct EngineOptions {
     /// If set, a device in the current probable set whose combined weight
     /// reaches this threshold is alarmed immediately.
     pub early_fire_threshold: Option<f64>,
-    /// Telemetry sink for per-window counters, latency histograms, and
+    /// Telemetry sink for per-window counters, latency sketches, and
     /// fault-report events. Defaults to [`Telemetry::global`] (a no-op sink
     /// unless `Telemetry::install_global` ran), so engines constructed
     /// anywhere in the stack report to the process-wide recorder when one
@@ -709,9 +668,7 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     /// intersection has not narrowed below `numThre` yet, the current
     /// intersection is reported as inconclusive.
     pub fn flush(&mut self) -> Option<FaultReport> {
-        if let Some(batch) = self.tel_batch.as_mut() {
-            batch.flush();
-        }
+        self.flush_telemetry();
         let confirm = self.model.borrow().config().confirmation_violations();
         let phase = std::mem::replace(&mut self.phase, Phase::Monitoring);
         match phase {
@@ -1192,12 +1149,12 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
     /// collecting all reports. Windows are aligned to the log's first event.
     pub fn process_log(&mut self, log: &mut dice_types::EventLog) -> Vec<FaultReport> {
         let duration = self.model.borrow().config().window();
-        // Collect windows eagerly to avoid borrowing `log` across `self`.
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows(duration)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        self.process_collected(windows)
+        let mut reports = Vec::new();
+        for w in log.windows(duration) {
+            reports.extend(self.process_window(w.start, w.end, w.events));
+        }
+        self.flush_telemetry();
+        reports
     }
 
     /// Processes every window tiling exactly `[from, to)`, including silent
@@ -1210,29 +1167,20 @@ impl<M: Borrow<DiceModel>> DiceEngine<M> {
         to: Timestamp,
     ) -> Vec<FaultReport> {
         let duration = self.model.borrow().config().window();
-        let windows: Vec<(Timestamp, Timestamp, Vec<Event>)> = log
-            .windows_between(from, to, duration)
-            .map(|w| (w.start, w.end, w.events.to_vec()))
-            .collect();
-        self.process_collected(windows)
+        let mut reports = Vec::new();
+        for w in log.windows_between(from, to, duration) {
+            reports.extend(self.process_window(w.start, w.end, w.events));
+        }
+        self.flush_telemetry();
+        reports
     }
 
-    fn process_collected(
-        &mut self,
-        windows: Vec<(Timestamp, Timestamp, Vec<Event>)>,
-    ) -> Vec<FaultReport> {
-        let mut reports = Vec::new();
-        for (start, end, events) in windows {
-            if let Some(report) = self.process_window(start, end, &events) {
-                reports.push(report);
-            }
-        }
-        // Publish batched samples at the stream boundary so a snapshot
-        // taken right after a replay sees every window.
+    /// Publishes batched samples at the stream boundary so a snapshot taken
+    /// right after a replay sees every window.
+    fn flush_telemetry(&mut self) {
         if let Some(batch) = self.tel_batch.as_mut() {
             batch.flush();
         }
-        reports
     }
 }
 
@@ -1708,28 +1656,5 @@ mod tests {
         let events = recorder.events.snapshot();
         assert_eq!(events.len(), reports.len());
         assert!(events.iter().all(|e| e.kind == "fault_report"));
-    }
-
-    #[test]
-    fn cost_profile_saturating_helpers() {
-        let cost = CostProfile {
-            correlation_ns: 2_500_000,
-            transition_ns: 1_000_000,
-            identification_ns: u128::from(u64::MAX) * 1_000_000 + 999_999,
-            windows: 2,
-        };
-        assert_eq!(cost.correlation_millis(), 2);
-        assert_eq!(cost.transition_millis(), 1);
-        assert_eq!(cost.identification_millis(), u64::MAX);
-        assert_eq!(cost.total_millis(), u64::MAX);
-        let sane = CostProfile {
-            correlation_ns: 3_000,
-            transition_ns: 1_000,
-            identification_ns: 2_000,
-            windows: 2,
-        };
-        assert_eq!(sane.total_ns(), 6_000);
-        assert!((sane.mean_ns_per_window() - 3_000.0).abs() < f64::EPSILON);
-        assert_eq!(CostProfile::default().mean_ns_per_window(), 0.0);
     }
 }

@@ -111,7 +111,7 @@ pub use scan_routed::RoutedScanIndex;
 pub use scan_sliced::{
     ScanBackend, SlicedScanIndex, BLOCK_LANES, MAX_SLICED_DISTANCE, SCAN_CROSSOVER_GROUPS,
 };
-pub use stats::{ExactSum, MeanAccumulator, RunningMean, WindowStats};
+pub use stats::{ExactSum, MeanAccumulator, WindowStats};
 pub use trace::{
     parse_trace_jsonl, render_explain, write_header_line, write_trace_jsonl, write_trace_line,
     DecisionTrace, FlightRecorder, JsonlTraceWriter, LineageStamp, SharedTraceSink, TraceHeader,

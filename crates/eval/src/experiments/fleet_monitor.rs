@@ -19,8 +19,7 @@ use std::sync::Arc;
 
 use dice_fleet::{Fleet, FleetConfig, FleetRun, ModelCache, TraceClock};
 use dice_telemetry::{
-    evaluate_health, shard_label, standard_rules, HealthStatus, SketchFamilyChild, Snapshot,
-    Telemetry,
+    evaluate_health, shard_label, standard_rules, HealthStatus, SketchSummary, Snapshot, Telemetry,
 };
 use dice_types::{Event, SensorReading, TimeDelta, Timestamp};
 
@@ -137,17 +136,17 @@ fn family_map<'a>(snapshot: &'a Snapshot, name: &str) -> HashMap<&'a str, i128> 
 }
 
 /// A labeled sketch family flattened to `label -> child`.
-fn sketch_map<'a>(snapshot: &'a Snapshot, name: &str) -> HashMap<&'a str, &'a SketchFamilyChild> {
+fn sketch_map<'a>(snapshot: &'a Snapshot, name: &str) -> HashMap<&'a str, &'a SketchSummary> {
     snapshot
         .sketch_family(name)
         .unwrap_or(&[])
         .iter()
-        .filter_map(|child| child.values.first().map(|l| (l.as_str(), child)))
+        .filter_map(|(values, summary)| values.first().map(|l| (l.as_str(), summary)))
         .collect()
 }
 
 /// One shard's `p50/p99` cell in microseconds, `-` when nothing recorded.
-fn quantile_cell(child: Option<&&SketchFamilyChild>) -> String {
+fn quantile_cell(child: Option<&&SketchSummary>) -> String {
     match child {
         Some(c) if c.count > 0 => format!("{}/{}", c.p50 / 1_000, c.p99 / 1_000),
         _ => "-".to_string(),

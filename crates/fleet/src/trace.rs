@@ -150,7 +150,7 @@ mod tests {
         let snapshot = telemetry.snapshot().unwrap();
         let children = snapshot.sketch_family("dice_fleet_stage_scan_ns").unwrap();
         assert_eq!(children.len(), 1);
-        assert_eq!(children[0].values, vec!["s3".to_string()]);
-        assert_eq!(children[0].count, 1);
+        assert_eq!(children[0].0, vec!["s3".to_string()]);
+        assert_eq!(children[0].1.count, 1);
     }
 }

@@ -8,11 +8,13 @@ use crate::catalog::DiceMetrics;
 use crate::json::{self, Value};
 use crate::registry::{MetricKind, Registry};
 use crate::ring::{EventRing, TelemetryEvent};
+use crate::sketch::QuantileSketch;
 
 /// The JSON snapshot schema version. Bump when keys change shape.
 /// Schema 2 added the `sketches` and `families` sections; schema 3 added
-/// `sketch_families`.
-pub const SNAPSHOT_SCHEMA: u32 = 3;
+/// `sketch_families`; schema 4 removed `histograms` (every distribution
+/// metric is a sketch).
+pub const SNAPSHOT_SCHEMA: u32 = 4;
 
 /// Whether `name` is a valid Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
@@ -60,7 +62,6 @@ pub const SNAPSHOT_KIND: &str = "dice-telemetry-snapshot";
 pub struct Snapshot {
     counters: Vec<CounterRow>,
     gauges: Vec<GaugeRow>,
-    histograms: Vec<HistogramRow>,
     sketches: Vec<SketchRow>,
     families: Vec<FamilyRow>,
     sketch_families: Vec<SketchFamilyRow>,
@@ -83,28 +84,11 @@ struct GaugeRow {
 }
 
 #[derive(Debug, Clone)]
-struct HistogramRow {
-    name: &'static str,
-    help: &'static str,
-    unit: &'static str,
-    bounds: Vec<u64>,
-    /// Cumulative counts per bound, then the total (the `+Inf` bucket).
-    cumulative: Vec<u64>,
-    sum: u64,
-    count: u64,
-}
-
-#[derive(Debug, Clone)]
 struct SketchRow {
     name: &'static str,
     help: &'static str,
     unit: &'static str,
-    count: u64,
-    sum: u64,
-    /// (p50, p95, p99) estimates; zeros when the sketch is empty.
-    p50: u64,
-    p95: u64,
-    p99: u64,
+    summary: SketchSummary,
 }
 
 #[derive(Debug, Clone)]
@@ -125,25 +109,81 @@ struct SketchFamilyRow {
     help: &'static str,
     unit: &'static str,
     labels: Vec<&'static str>,
-    series: Vec<SketchFamilyChild>,
+    /// One row per child: label values in label order, then its summary.
+    series: Vec<(Vec<String>, SketchSummary)>,
 }
 
-/// One child of a labeled quantile-sketch family in a snapshot: its label
-/// values and distribution summary.
-#[derive(Debug, Clone)]
-pub struct SketchFamilyChild {
-    /// Label values in label order.
-    pub values: Vec<String>,
-    /// Samples recorded into this child.
+/// The distribution summary a snapshot keeps for one quantile sketch (or
+/// one child of a sketch family). The JSON snapshot, the Prometheus
+/// exposition, and the validator all go through its methods, so the five
+/// numbers are written and checked in one place.
+#[derive(Debug, Clone, Copy)]
+pub struct SketchSummary {
+    /// Samples recorded.
     pub count: u64,
     /// Sum of all recorded samples.
     pub sum: u64,
-    /// p50 estimate; 0 when the child is empty.
+    /// p50 estimate; 0 when the sketch is empty.
     pub p50: u64,
-    /// p95 estimate; 0 when the child is empty.
+    /// p95 estimate; 0 when the sketch is empty.
     pub p95: u64,
-    /// p99 estimate; 0 when the child is empty.
+    /// p99 estimate; 0 when the sketch is empty.
     pub p99: u64,
+}
+
+impl SketchSummary {
+    /// The JSON keys of a summary, in document order.
+    const KEYS: [&'static str; 5] = ["count", "sum", "p50", "p95", "p99"];
+
+    fn of(sketch: &QuantileSketch) -> Self {
+        let (p50, p95, p99) = sketch.percentiles().unwrap_or((0, 0, 0));
+        SketchSummary {
+            count: sketch.count(),
+            sum: sketch.sum(),
+            p50,
+            p95,
+            p99,
+        }
+    }
+
+    /// Appends `"count": .., "sum": .., "p50": .., "p95": .., "p99": ..`.
+    fn write_json(&self, out: &mut String) {
+        let values = [self.count, self.sum, self.p50, self.p95, self.p99];
+        for (i, (key, value)) in Self::KEYS.iter().zip(values).enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}\"{key}\": {value}");
+        }
+    }
+
+    /// Appends the summary's exposition lines: the three quantiles (only
+    /// when something was recorded), then `_sum` and `_count`. `labels` is
+    /// the rendered `k="v",...` list, empty for an unlabeled sketch.
+    fn write_prometheus(&self, out: &mut String, name: &str, labels: &str) {
+        let (sep, braced) = if labels.is_empty() {
+            ("", String::new())
+        } else {
+            (",", format!("{{{labels}}}"))
+        };
+        if self.count > 0 {
+            for (q, v) in [("0.5", self.p50), ("0.95", self.p95), ("0.99", self.p99)] {
+                let _ = writeln!(out, "{name}{{{labels}{sep}quantile=\"{q}\"}} {v}");
+            }
+        }
+        let _ = writeln!(out, "{name}_sum{braced} {}", self.sum);
+        let _ = writeln!(out, "{name}_count{braced} {}", self.count);
+    }
+
+    /// Checks that `object` carries every summary key as a number; `what`
+    /// names the object in the error.
+    fn validate_json(object: &Value, what: &str) -> Result<(), String> {
+        for key in Self::KEYS {
+            object
+                .get(key)
+                .and_then(Value::as_num)
+                .ok_or_else(|| format!("{what} missing numeric {key:?}"))?;
+        }
+        Ok(())
+    }
 }
 
 impl Snapshot {
@@ -151,7 +191,6 @@ impl Snapshot {
     pub fn collect(registry: &Registry, events: &EventRing) -> Self {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
         let mut sketches = Vec::new();
         let mut families = Vec::new();
         let mut sketch_families = Vec::new();
@@ -173,37 +212,13 @@ impl Snapshot {
                         value: gauge.get(),
                     });
                 }
-                MetricKind::Histogram => {
-                    let histogram = entry.as_histogram().expect("kind checked");
-                    let buckets = histogram.bucket_counts();
-                    let mut cumulative = Vec::with_capacity(buckets.len());
-                    let mut running = 0u64;
-                    for count in &buckets {
-                        running += count;
-                        cumulative.push(running);
-                    }
-                    histograms.push(HistogramRow {
-                        name: entry.name,
-                        help: entry.help,
-                        unit: entry.unit,
-                        bounds: histogram.bounds().to_vec(),
-                        cumulative,
-                        sum: histogram.sum(),
-                        count: running,
-                    });
-                }
                 MetricKind::Sketch => {
                     let sketch = entry.as_sketch().expect("kind checked");
-                    let (p50, p95, p99) = sketch.percentiles().unwrap_or((0, 0, 0));
                     sketches.push(SketchRow {
                         name: entry.name,
                         help: entry.help,
                         unit: entry.unit,
-                        count: sketch.count(),
-                        sum: sketch.sum(),
-                        p50,
-                        p95,
-                        p99,
+                        summary: SketchSummary::of(sketch),
                     });
                 }
                 MetricKind::CounterFamily => {
@@ -244,17 +259,7 @@ impl Snapshot {
                         series: family
                             .children()
                             .into_iter()
-                            .map(|(values, child)| {
-                                let (p50, p95, p99) = child.percentiles().unwrap_or((0, 0, 0));
-                                SketchFamilyChild {
-                                    values,
-                                    count: child.count(),
-                                    sum: child.sum(),
-                                    p50,
-                                    p95,
-                                    p99,
-                                }
-                            })
+                            .map(|(values, child)| (values, SketchSummary::of(&child)))
                             .collect(),
                     });
                 }
@@ -263,7 +268,6 @@ impl Snapshot {
         Snapshot {
             counters,
             gauges,
-            histograms,
             sketches,
             families,
             sketch_families,
@@ -285,20 +289,12 @@ impl Snapshot {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
-    /// The (count, sum) of a histogram by name, if present.
-    pub fn histogram(&self, name: &str) -> Option<(u64, u64)> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name)
-            .map(|h| (h.count, h.sum))
-    }
-
     /// The (count, sum) of a quantile sketch by name, if present.
     pub fn sketch(&self, name: &str) -> Option<(u64, u64)> {
         self.sketches
             .iter()
             .find(|s| s.name == name)
-            .map(|s| (s.count, s.sum))
+            .map(|s| (s.summary.count, s.summary.sum))
     }
 
     /// The (p50, p95, p99) estimates of a quantile sketch by name; `None`
@@ -306,8 +302,8 @@ impl Snapshot {
     pub fn sketch_percentiles(&self, name: &str) -> Option<(u64, u64, u64)> {
         self.sketches
             .iter()
-            .find(|s| s.name == name && s.count > 0)
-            .map(|s| (s.p50, s.p95, s.p99))
+            .find(|s| s.name == name && s.summary.count > 0)
+            .map(|s| (s.summary.p50, s.summary.p95, s.summary.p99))
     }
 
     /// The value of one family child by name and label values, if present.
@@ -334,9 +330,10 @@ impl Snapshot {
             .map(|f| f.series.as_slice())
     }
 
-    /// Every child of one quantile-sketch family by name, in sorted label
-    /// order. `None` when the family is absent.
-    pub fn sketch_family(&self, name: &str) -> Option<&[SketchFamilyChild]> {
+    /// Every child of one quantile-sketch family by name — label values and
+    /// summary per child, in sorted label order. `None` when the family is
+    /// absent.
+    pub fn sketch_family(&self, name: &str) -> Option<&[(Vec<String>, SketchSummary)]> {
         self.sketch_families
             .iter()
             .find(|f| f.name == name)
@@ -371,53 +368,17 @@ impl Snapshot {
             let _ = writeln!(out, "    \"{}\": {}{comma}", row.name, row.value);
         }
         out.push_str("  },\n");
-        out.push_str("  \"histograms\": {\n");
-        for (i, row) in self.histograms.iter().enumerate() {
-            let _ = writeln!(out, "    \"{}\": {{", row.name);
-            let _ = writeln!(out, "      \"unit\": \"{}\",", json::escape(row.unit));
-            let _ = writeln!(out, "      \"count\": {},", row.count);
-            let _ = writeln!(out, "      \"sum\": {},", row.sum);
-            out.push_str("      \"buckets\": [");
-            for (j, (&bound, &cum)) in row.bounds.iter().zip(&row.cumulative).enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"le\": {bound}, \"count\": {cum}}}");
-            }
-            if row.cumulative.len() > row.bounds.len() {
-                // Overflow bucket: le is null, meaning +Inf.
-                if !row.bounds.is_empty() {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"le\": null, \"count\": {}}}",
-                    row.cumulative[row.cumulative.len() - 1]
-                );
-            }
-            out.push_str("]\n");
-            let comma = if i + 1 < self.histograms.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "    }}{comma}");
-        }
-        out.push_str("  },\n");
         out.push_str("  \"sketches\": {\n");
         for (i, row) in self.sketches.iter().enumerate() {
             let comma = if i + 1 < self.sketches.len() { "," } else { "" };
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "    \"{}\": {{\"unit\": \"{}\", \"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{comma}",
+                "    \"{}\": {{\"unit\": \"{}\", ",
                 row.name,
-                json::escape(row.unit),
-                row.count,
-                row.sum,
-                row.p50,
-                row.p95,
-                row.p99
+                json::escape(row.unit)
             );
+            row.summary.write_json(&mut out);
+            let _ = writeln!(out, "}}{comma}");
         }
         out.push_str("  },\n");
         out.push_str("  \"families\": {\n");
@@ -464,22 +425,20 @@ impl Snapshot {
             }
             out.push_str("],\n");
             out.push_str("      \"series\": [");
-            for (j, child) in row.series.iter().enumerate() {
+            for (j, (values, summary)) in row.series.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
                 out.push_str("{\"values\": [");
-                for (k, v) in child.values.iter().enumerate() {
+                for (k, v) in values.iter().enumerate() {
                     if k > 0 {
                         out.push_str(", ");
                     }
                     let _ = write!(out, "\"{}\"", json::escape(v));
                 }
-                let _ = write!(
-                    out,
-                    "], \"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                    child.count, child.sum, child.p50, child.p95, child.p99
-                );
+                out.push_str("], ");
+                summary.write_json(&mut out);
+                out.push('}');
             }
             out.push_str("]\n");
             let comma = if i + 1 < self.sketch_families.len() {
@@ -509,8 +468,9 @@ impl Snapshot {
 
     /// Renders the registry in the Prometheus text exposition format.
     ///
-    /// Histograms follow the `_bucket{le=...}` / `_sum` / `_count`
-    /// convention with cumulative buckets ending at `le="+Inf"`.
+    /// Sketches and sketch families render as summaries: `quantile="0.5"`,
+    /// `"0.95"` and `"0.99"` rows (omitted while empty), then `_sum` and
+    /// `_count`.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for row in &self.counters {
@@ -523,26 +483,10 @@ impl Snapshot {
             let _ = writeln!(out, "# TYPE {} gauge", row.name);
             let _ = writeln!(out, "{} {}", row.name, row.value);
         }
-        for row in &self.histograms {
-            let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
-            let _ = writeln!(out, "# TYPE {} histogram", row.name);
-            for (&bound, &cum) in row.bounds.iter().zip(&row.cumulative) {
-                let _ = writeln!(out, "{}_bucket{{le=\"{bound}\"}} {cum}", row.name);
-            }
-            let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", row.name, row.count);
-            let _ = writeln!(out, "{}_sum {}", row.name, row.sum);
-            let _ = writeln!(out, "{}_count {}", row.name, row.count);
-        }
         for row in &self.sketches {
             let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
             let _ = writeln!(out, "# TYPE {} summary", row.name);
-            if row.count > 0 {
-                for (q, v) in [("0.5", row.p50), ("0.95", row.p95), ("0.99", row.p99)] {
-                    let _ = writeln!(out, "{}{{quantile=\"{q}\"}} {v}", row.name);
-                }
-            }
-            let _ = writeln!(out, "{}_sum {}", row.name, row.sum);
-            let _ = writeln!(out, "{}_count {}", row.name, row.count);
+            row.summary.write_prometheus(&mut out, row.name, "");
         }
         for row in &self.families {
             let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
@@ -561,21 +505,15 @@ impl Snapshot {
         for row in &self.sketch_families {
             let _ = writeln!(out, "# HELP {} {}", row.name, row.help);
             let _ = writeln!(out, "# TYPE {} summary", row.name);
-            for child in &row.series {
+            for (values, summary) in &row.series {
                 let mut label_pairs = String::new();
-                for (i, (label, v)) in row.labels.iter().zip(&child.values).enumerate() {
+                for (i, (label, v)) in row.labels.iter().zip(values).enumerate() {
                     if i > 0 {
                         label_pairs.push(',');
                     }
                     let _ = write!(label_pairs, "{label}=\"{}\"", escape_label_value(v));
                 }
-                if child.count > 0 {
-                    for (q, v) in [("0.5", child.p50), ("0.95", child.p95), ("0.99", child.p99)] {
-                        let _ = writeln!(out, "{}{{{label_pairs},quantile=\"{q}\"}} {v}", row.name);
-                    }
-                }
-                let _ = writeln!(out, "{}_sum{{{label_pairs}}} {}", row.name, child.sum);
-                let _ = writeln!(out, "{}_count{{{label_pairs}}} {}", row.name, child.count);
+                summary.write_prometheus(&mut out, row.name, &label_pairs);
             }
         }
         out
@@ -583,9 +521,9 @@ impl Snapshot {
 }
 
 /// Validates a JSON snapshot document against the documented schema:
-/// schema version, kind discriminator, the four sections, and presence of
-/// every metric in the [`DiceMetrics`] catalog with internally consistent
-/// histogram buckets.
+/// schema version, kind discriminator, the counter, gauge, sketch, family,
+/// and sketch-family sections, presence of every metric in the
+/// [`DiceMetrics`] catalog, and the numeric summary of every sketch.
 ///
 /// # Errors
 ///
@@ -611,7 +549,6 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
 
     let counters = section(root, "counters")?;
     let gauges = section(root, "gauges")?;
-    let histograms = section(root, "histograms")?;
     let sketches = section(root, "sketches")?;
     let families = section(root, "families")?;
     let sketch_families = section(root, "sketch_families")?;
@@ -629,7 +566,6 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
         let (map, label) = match entry.kind() {
             MetricKind::Counter => (counters, "counters"),
             MetricKind::Gauge => (gauges, "gauges"),
-            MetricKind::Histogram => (histograms, "histograms"),
             MetricKind::Sketch => (sketches, "sketches"),
             MetricKind::CounterFamily | MetricKind::GaugeFamily => (families, "families"),
             MetricKind::SketchFamily => (sketch_families, "sketch_families"),
@@ -643,12 +579,7 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
     }
 
     for (name, sketch) in sketches {
-        for key in ["count", "sum", "p50", "p95", "p99"] {
-            sketch
-                .get(key)
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("sketch {name:?} missing numeric {key:?}"))?;
-        }
+        SketchSummary::validate_json(sketch, &format!("sketch {name:?}"))?;
     }
     for (name, family) in families {
         let labels = family
@@ -702,47 +633,10 @@ pub fn validate_snapshot_json(document: &str) -> Result<(), String> {
                     labels.len()
                 ));
             }
-            for key in ["count", "sum", "p50", "p95", "p99"] {
-                child.get(key).and_then(Value::as_num).ok_or_else(|| {
-                    format!("sketch family {name:?} child missing numeric {key:?}")
-                })?;
-            }
+            SketchSummary::validate_json(child, &format!("sketch family {name:?} child"))?;
         }
     }
 
-    for (name, histogram) in histograms {
-        let count = histogram
-            .get("count")
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("histogram {name:?} missing count"))?;
-        let buckets = histogram
-            .get("buckets")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("histogram {name:?} missing buckets"))?;
-        let mut previous = 0.0;
-        for bucket in buckets {
-            let cum = bucket
-                .get("count")
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("histogram {name:?} bucket missing count"))?;
-            if cum < previous {
-                return Err(format!("histogram {name:?} buckets are not cumulative"));
-            }
-            previous = cum;
-        }
-        if let Some(last) = buckets.last() {
-            let total = last.get("count").and_then(Value::as_num).unwrap_or(-1.0);
-            if (total - count).abs() > 0.5 {
-                return Err(format!(
-                    "histogram {name:?} +Inf bucket {total} != count {count}"
-                ));
-            }
-        }
-        histogram
-            .get("unit")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("histogram {name:?} missing unit"))?;
-    }
     Ok(())
 }
 
@@ -840,19 +734,22 @@ mod tests {
                 .as_num(),
             Some(9.0)
         );
-        let h = parsed
-            .get("histograms")
+        assert!(
+            parsed.get("histograms").is_none(),
+            "schema 4 has no histograms"
+        );
+        let trial = parsed
+            .get("sketches")
             .unwrap()
             .get("dice_eval_trial_ns")
             .unwrap();
-        assert_eq!(h.get("count").unwrap().as_num(), Some(2.0));
-        // Overflow sample lands in the +Inf (le: null) bucket.
-        let buckets = h.get("buckets").unwrap().as_arr().unwrap();
-        assert_eq!(buckets.last().unwrap().get("le"), Some(&Value::Null));
-        assert_eq!(
-            buckets.last().unwrap().get("count").unwrap().as_num(),
-            Some(2.0)
-        );
+        assert_eq!(trial.get("unit").unwrap().as_str(), Some("ns"));
+        assert_eq!(trial.get("count").unwrap().as_num(), Some(2.0));
+        assert_eq!(trial.get("sum").unwrap().as_num(), Some(900_000_005_000.0));
+        // The 900 s sample is the p99; the estimate never undershoots it.
+        let p99 = trial.get("p99").unwrap().as_num().unwrap();
+        assert!(p99 >= 900_000_000_000.0, "p99 {p99}");
+        assert!(p99 <= 900_000_000_000.0 * (1.0 + crate::SKETCH_RELATIVE_ERROR));
         let event = &parsed.get("events").unwrap().as_arr().unwrap()[0];
         assert_eq!(
             event.get("message").unwrap().as_str(),
@@ -892,7 +789,9 @@ mod tests {
         assert!(text.contains("dice_engine_windows_total 42"));
         assert!(text.contains("# TYPE dice_gateway_channel_depth gauge"));
         assert!(text.contains("dice_gateway_channel_depth 9"));
-        assert!(text.contains("dice_eval_trial_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(!text.contains("_bucket"), "no bucket exposition remains");
+        assert!(text.contains("# TYPE dice_eval_trial_ns summary"));
+        assert!(text.contains("dice_eval_trial_ns{quantile=\"0.99\"}"));
         assert!(text.contains("dice_eval_trial_ns_count 2"));
         assert!(text.contains("dice_eval_trial_ns_sum 900000005000"));
         assert!(text.contains("# TYPE dice_engine_detection_ns summary"));
@@ -952,23 +851,41 @@ mod tests {
         assert!(validate_snapshot_json("{}").is_err());
         let wrong_schema = format!(
             "{{\"schema\": 999, \"kind\": \"{SNAPSHOT_KIND}\", \"counters\": {{}}, \
-             \"gauges\": {{}}, \"histograms\": {{}}, \"events\": [], \"dropped_events\": 0}}"
+             \"gauges\": {{}}, \"events\": [], \"dropped_events\": 0}}"
         );
         let err = validate_snapshot_json(&wrong_schema).unwrap_err();
         assert!(err.contains("schema version"), "{err}");
         let missing_metric = format!(
             "{{\"schema\": {SNAPSHOT_SCHEMA}, \"kind\": \"{SNAPSHOT_KIND}\", \"counters\": {{}}, \
-             \"gauges\": {{}}, \"histograms\": {{}}, \"sketches\": {{}}, \"families\": {{}}, \
+             \"gauges\": {{}}, \"sketches\": {{}}, \"families\": {{}}, \
              \"sketch_families\": {{}}, \"events\": [], \"dropped_events\": 0}}"
         );
         let err = validate_snapshot_json(&missing_metric).unwrap_err();
         assert!(err.contains("missing from"), "{err}");
         let no_sketches = format!(
             "{{\"schema\": {SNAPSHOT_SCHEMA}, \"kind\": \"{SNAPSHOT_KIND}\", \"counters\": {{}}, \
-             \"gauges\": {{}}, \"histograms\": {{}}, \"events\": [], \"dropped_events\": 0}}"
+             \"gauges\": {{}}, \"events\": [], \"dropped_events\": 0}}"
         );
         let err = validate_snapshot_json(&no_sketches).unwrap_err();
         assert!(err.contains("sketches"), "{err}");
+        // A schema-3 export (with its `histograms` section) is refused: the
+        // four metrics it kept there now live under `sketches`.
+        let (registry, events) = sample();
+        let schema_3 = Snapshot::collect(&registry, &events).to_json().replacen(
+            &format!("\"schema\": {SNAPSHOT_SCHEMA},"),
+            "\"schema\": 3,\n  \"histograms\": {},",
+            1,
+        );
+        assert!(schema_3.contains("\"histograms\": {}"));
+        let err = validate_snapshot_json(&schema_3).unwrap_err();
+        assert!(err.contains("schema version 3"), "{err}");
+        // A summary missing one of its five numbers is refused.
+        let no_p95 =
+            Snapshot::collect(&registry, &events)
+                .to_json()
+                .replacen("\"p95\"", "\"p95_gone\"", 1);
+        let err = validate_snapshot_json(&no_p95).unwrap_err();
+        assert!(err.contains("missing numeric \"p95\""), "{err}");
     }
 
     #[test]
@@ -977,7 +894,7 @@ mod tests {
         let snapshot = Snapshot::collect(&registry, &events);
         assert_eq!(snapshot.counter("dice_engine_windows_total"), Some(42));
         assert_eq!(snapshot.gauge("dice_gateway_channel_depth"), Some(9));
-        let (count, sum) = snapshot.histogram("dice_eval_trial_ns").unwrap();
+        let (count, sum) = snapshot.sketch("dice_eval_trial_ns").unwrap();
         assert_eq!(count, 2);
         assert_eq!(sum, 900_000_005_000);
         assert_eq!(snapshot.counter("nope"), None);

@@ -340,8 +340,8 @@ fn check_rule(check: &RuleCheck, snapshot: &Snapshot) -> (HealthStatus, String) 
                 .sketch_family(name)
                 .unwrap_or(&[])
                 .iter()
-                .filter(|c| c.count >= *min_count)
-                .map(|c| (c.values.join(","), c.p99 as f64))
+                .filter(|(_, summary)| summary.count >= *min_count)
+                .map(|(values, summary)| (values.join(","), summary.p99 as f64))
                 .collect();
             if judged.len() < 2 {
                 return (

@@ -36,12 +36,11 @@ mod trace;
 
 pub use catalog::{
     catalog_metric_names, shard_label, DiceMetrics, EngineMetrics, EvalMetrics, FleetMetrics,
-    GatewayMetrics, HealthMetrics, TimeseriesMetrics, TraceMetrics, TrainMetrics,
-    LATENCY_BOUNDS_NS, MAX_SHARD_LABELS, TRIAL_BOUNDS_NS, WINDOW_BOUNDS,
+    GatewayMetrics, HealthMetrics, TimeseriesMetrics, TraceMetrics, TrainMetrics, MAX_SHARD_LABELS,
 };
 pub use export::{
     escape_label_value, is_valid_label_name, is_valid_metric_name, snapshot_gauge_json,
-    validate_snapshot_json, SketchFamilyChild, Snapshot, SNAPSHOT_KIND, SNAPSHOT_SCHEMA,
+    validate_snapshot_json, SketchSummary, Snapshot, SNAPSHOT_KIND, SNAPSHOT_SCHEMA,
 };
 pub use family::Family;
 pub use health::{
@@ -49,7 +48,7 @@ pub use health::{
     RuleOutcome,
 };
 pub use json::{escape as json_escape, parse as json_parse, ParseError, Value};
-pub use registry::{Counter, Gauge, Histogram, MetricEntry, MetricKind, Registry};
+pub use registry::{Counter, Gauge, MetricEntry, MetricKind, Registry};
 pub use ring::{EventRing, TelemetryEvent};
 pub use sketch::{LocalSketch, QuantileSketch, SKETCH_RELATIVE_ERROR};
 pub use timeseries::{SeriesSample, TimeSeriesRecorder};

@@ -1,9 +1,11 @@
-//! The lock-free metrics registry and its three primitives.
+//! The lock-free metrics registry and its three primitives: counters,
+//! gauges, and quantile sketches (the one distribution type).
 //!
 //! Hot-path operations ([`Counter::inc`], [`Gauge::set_max`],
-//! [`Histogram::record`]) are single relaxed atomic read-modify-writes on
-//! handles resolved once at registration time; the registry's mutex guards
-//! only registration and snapshotting, never a recording call.
+//! [`QuantileSketch::record`]) are at most two relaxed atomic
+//! read-modify-writes on handles resolved once at registration time; the
+//! registry's mutex guards only registration and snapshotting, never a
+//! recording call.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,84 +67,6 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram.
-///
-/// Bucket `i` counts samples `<= bounds[i]` (non-cumulative internally); one
-/// extra overflow bucket counts samples above every bound. The sample count
-/// is derived from the buckets at snapshot time, so a record is exactly two
-/// relaxed atomic adds (bucket + sum) after a short linear bound search.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [u64],
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &'static [u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            bounds,
-            buckets,
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[self.bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// The bucket index `value` falls into (overflow bucket last).
-    #[inline]
-    pub fn bucket_index(&self, value: u64) -> usize {
-        // Bounds ascend, so the first bound >= value is a partition point;
-        // binary search beats the linear scan on the 16-bound latency
-        // ladders the catalog registers.
-        self.bounds.partition_point(|&bound| bound < value)
-    }
-
-    /// The bucket upper bounds (exclusive of the overflow bucket).
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket (non-cumulative) counts, overflow bucket last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Mean sample value, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
-    }
-}
-
 /// What a registered metric is, for exposition formatting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -150,8 +74,6 @@ pub enum MetricKind {
     Counter,
     /// A bidirectional gauge.
     Gauge,
-    /// A fixed-bucket histogram.
-    Histogram,
     /// A log2-bucketed quantile sketch.
     Sketch,
     /// A labeled family of counters.
@@ -170,7 +92,6 @@ pub enum MetricKind {
 pub(crate) enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
     Sketch(Arc<QuantileSketch>),
     CounterFamily(Arc<Family<Counter>>),
     GaugeFamily(Arc<Family<Gauge>>),
@@ -200,7 +121,6 @@ impl MetricEntry {
         match self.metric {
             Metric::Counter(_) => MetricKind::Counter,
             Metric::Gauge(_) => MetricKind::Gauge,
-            Metric::Histogram(_) => MetricKind::Histogram,
             Metric::Sketch(_) => MetricKind::Sketch,
             Metric::CounterFamily(_) => MetricKind::CounterFamily,
             Metric::GaugeFamily(_) => MetricKind::GaugeFamily,
@@ -220,14 +140,6 @@ impl MetricEntry {
     pub fn as_gauge(&self) -> Option<&Gauge> {
         match &self.metric {
             Metric::Gauge(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The histogram behind this entry, if it is one.
-    pub fn as_histogram(&self) -> Option<&Histogram> {
-        match &self.metric {
-            Metric::Histogram(h) => Some(h),
             _ => None,
         }
     }
@@ -330,24 +242,6 @@ impl Registry {
         let gauge = Arc::new(Gauge::default());
         self.insert(name, help, "", Metric::Gauge(Arc::clone(&gauge)));
         gauge
-    }
-
-    /// Registers a histogram over `bounds` and returns its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered, `bounds` is empty, or
-    /// `bounds` is not strictly ascending.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        unit: &'static str,
-        bounds: &'static [u64],
-    ) -> Arc<Histogram> {
-        let histogram = Arc::new(Histogram::new(bounds));
-        self.insert(name, help, unit, Metric::Histogram(Arc::clone(&histogram)));
-        histogram
     }
 
     /// Registers a quantile sketch and returns its handle.
@@ -455,21 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_bound() {
-        static BOUNDS: [u64; 3] = [10, 100, 1000];
-        let registry = Registry::new();
-        let h = registry.histogram("h_ns", "latency", "ns", &BOUNDS);
-        for v in [1, 10, 11, 100, 5000] {
-            h.record(v);
-        }
-        // <=10: {1, 10}; <=100: {11, 100}; <=1000: {}; overflow: {5000}.
-        assert_eq!(h.bucket_counts(), vec![2, 2, 0, 1]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1 + 10 + 11 + 100 + 5000);
-        assert!((h.mean() - 1024.4).abs() < 1e-9);
-    }
-
-    #[test]
     fn snapshot_entries_sort_by_name() {
         let registry = Registry::new();
         let _ = registry.counter("z_total", "");
@@ -517,12 +396,5 @@ mod tests {
         let registry = Registry::new();
         let _ = registry.counter("dup_total", "");
         let _ = registry.gauge("dup_total", "");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn unsorted_bounds_are_rejected() {
-        static BAD: [u64; 2] = [10, 10];
-        let _ = Histogram::new(&BAD);
     }
 }

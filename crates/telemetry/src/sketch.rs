@@ -1,19 +1,19 @@
-//! A log2-bucketed quantile sketch for latency tails.
+//! A log2-bucketed quantile sketch: the one distribution type.
 //!
-//! The fixed-bound [`Histogram`](crate::Histogram) answers "how many samples
-//! fell under each ladder rung" but cannot estimate tail quantiles tighter
-//! than its 12-rung ladder. [`QuantileSketch`] keeps an HDR-style layout —
-//! every octave above 16 is split into 16 linear sub-buckets — so p50/p95/p99
-//! estimates carry a documented relative-error bound of
-//! [`SKETCH_RELATIVE_ERROR`] (6.25%) over the full `u64` range, with values
-//! below 16 represented exactly. Recording is two relaxed atomic adds, the
-//! same hot-path cost as the fixed-bucket histogram; reads that only need
-//! the total count pay a full bucket scan instead, keeping the writer side
-//! minimal (readers are snapshots and sweeps, not hot loops). Loops that
-//! record every window should buffer through a [`LocalSketch`] — even
-//! relaxed atomic read-modify-writes cost tens of nanoseconds on some
-//! hosts, and check latencies cluster into a handful of buckets, so a
-//! batched flush collapses thousands of samples into a few adds.
+//! Every distribution metric in the catalog — check and window latencies,
+//! trial and merge durations, identification lengths in windows — is a
+//! [`QuantileSketch`]. It keeps an HDR-style layout — every octave above 16
+//! is split into 16 linear sub-buckets — so p50/p95/p99 estimates carry a
+//! documented relative-error bound of [`SKETCH_RELATIVE_ERROR`] (6.25%)
+//! over the full `u64` range, with values below 16 represented exactly, and
+//! no per-metric bucket ladder to choose. Recording is two relaxed atomic
+//! adds; reads that only need the total count pay a full bucket scan
+//! instead, keeping the writer side minimal (readers are snapshots and
+//! sweeps, not hot loops). Loops that record every window should buffer
+//! through a [`LocalSketch`] — even relaxed atomic read-modify-writes cost
+//! tens of nanoseconds on some hosts, and check latencies cluster into a
+//! handful of buckets, so a batched flush collapses thousands of samples
+//! into a few adds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -322,15 +322,15 @@ fn stalled_shard_grows_queue_waits_and_trips_the_straggler_rule() {
     let children = snapshot
         .sketch_family("dice_fleet_stage_queue_wait_ns")
         .unwrap();
-    let stalled = children
+    let (_, stalled) = children
         .iter()
-        .find(|c| c.values == ["s0"])
+        .find(|(values, _)| values == &["s0"])
         .expect("stalled shard records queue waits");
     assert!(stalled.count > 0);
     let best_other = children
         .iter()
-        .filter(|c| c.values != ["s0"])
-        .map(|c| c.p99)
+        .filter(|(values, _)| values != &["s0"])
+        .map(|(_, summary)| summary.p99)
         .max()
         .expect("other shards record too");
     assert!(
